@@ -4,7 +4,8 @@
 // the registered `contender_stage` diagnostic samples the lottery once per
 // trial, so mean(in_window) in the table IS Pr[in window] and mean(zero) is
 // the n^{-c1} total-failure rate — illustrating both the lemma and the
-// finite-size slack that motivates the threshold correction in DESIGN.md.
+// finite-size slack that motivates the threshold correction in
+// ElectionParams::intersection_threshold (core/params.cpp).
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"

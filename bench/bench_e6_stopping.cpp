@@ -1,5 +1,5 @@
 // E6 — Lemmas 3/6, the guess-and-double stopping rule, plus the bandwidth
-// and token-coalescing ablations (DESIGN.md §5).
+// and token-coalescing ablations (tests/test_ablations.cpp).
 // Paper: every contender stops once t_u = c3 tmix (c3 > 1); guess-and-double
 // costs only a constant factor over the final guess. The whole grid —
 // families x {standard, wide} bandwidth x {coalesced, naive} tokens — is the

@@ -43,10 +43,12 @@ struct ElectionParams {
   /// funnels through one fault model; faults.seed = 0 derives the fault
   /// stream from `seed`.
   FaultPlan faults;
-  /// Ablation (DESIGN.md §5 item 4): lazy walks (paper) vs non-lazy. Non-lazy
-  /// walks carry a parity trap on bipartite graphs and break stopping there.
+  /// Ablation (tests/test_ablations.cpp, NonLazy*): lazy walks (paper) vs
+  /// non-lazy. Non-lazy walks carry a parity trap on bipartite graphs and
+  /// break stopping there.
   bool lazy_walks = true;
-  /// Ablation (DESIGN.md §5 item 1): token coalescing (paper) vs naive
+  /// Ablation (tests/test_ablations.cpp, Coalescing* and
+  /// ElectionWithNaiveTokensCostsMore): token coalescing (paper) vs naive
   /// per-walk tokens; changes message accounting only.
   bool coalesce_tokens = true;
   /// Execute the paper's literal lockstep schedule: every sub-phase is padded

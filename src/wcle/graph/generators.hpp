@@ -54,7 +54,7 @@ Graph make_lollipop_pair(NodeId k, NodeId bridge_len, Rng* port_rng = nullptr);
 Graph make_star(NodeId n, Rng* port_rng = nullptr);
 
 /// Complete bipartite K_{a,b} (a, b >= 1, a+b >= 3). Bipartite: the lazy
-/// walk mixes, the non-lazy walk does not (ablation 4's family).
+/// walk mixes, the non-lazy walk does not (the NonLazy* ablations' family).
 Graph make_complete_bipartite(NodeId a, NodeId b, Rng* port_rng = nullptr);
 
 /// Barabasi-Albert preferential attachment: starts from a clique on m0+1

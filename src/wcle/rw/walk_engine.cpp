@@ -1,6 +1,7 @@
 #include "wcle/rw/walk_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -18,6 +19,33 @@ std::vector<WalkEngine::Registration>::iterator reg_position(
   return std::lower_bound(
       regs.begin(), regs.end(), origin,
       [](const WalkEngine::Registration& r, NodeId o) { return r.first < o; });
+}
+
+/// Home bucket of (node, r) in a trail index of `buckets` (a power of two)
+/// buckets: Fibonacci hashing of the packed key, top bits.
+std::uint32_t home_bucket(NodeId node, std::uint32_t r,
+                          std::size_t buckets) noexcept {
+  const std::uint64_t key = (std::uint64_t{node} << 32) | r;
+  const int shift = 64 - std::countr_zero(buckets);
+  return static_cast<std::uint32_t>((key * 0x9e3779b97f4a7c15ull) >> shift);
+}
+
+/// Size of the union of two sorted, duplicate-free id buffers.
+std::uint32_t union_size(const std::uint64_t* a, std::uint32_t na,
+                         const std::uint64_t* b, std::uint32_t nb) noexcept {
+  std::uint32_t i = 0, j = 0, common = 0;
+  while (i < na && j < nb) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      ++common;
+      ++i;
+      ++j;
+    }
+  }
+  return na + nb - common;
 }
 
 }  // namespace
@@ -83,9 +111,8 @@ std::uint32_t WordPool::alloc(std::uint32_t n) {
 }
 
 void WordPool::free(std::uint32_t h, std::uint32_t n) {
-  // The class is derived from the *logical* length, which can undershoot the
-  // allocated class after a shrinking set-union; the slot is then merely
-  // larger than its new class requires, never smaller, so reuse stays safe.
+  // The class is recomputed from n, so n must be the length the slot was
+  // allocated with (callers allocate every set at its final length).
   const std::uint32_t cls = size_class(n);
   *data(h) = free_head_[cls];
   free_head_[cls] = h;
@@ -99,6 +126,16 @@ void WordPool::rewind() {
     *data(h) = free_head_[cls];
     free_head_[cls] = h;
   }
+}
+
+std::uint64_t WordPool::memory_bytes() const noexcept {
+  std::uint64_t words =
+      std::uint64_t{kChunkWords} * (chunks_.size() - dedicated_.size());
+  for (const auto& [h, cls] : dedicated_) words += std::uint64_t{1} << cls;
+  return words * sizeof(std::uint64_t) +
+         chunks_.capacity() * sizeof(chunks_[0]) +
+         bump_order_.capacity() * sizeof(std::uint32_t) +
+         dedicated_.capacity() * sizeof(dedicated_[0]);
 }
 
 // -------------------------------------------------------- RegistrationView
@@ -137,66 +174,6 @@ std::uint32_t WalkEngine::payload_bits(std::size_t id_count) const {
   return base_bits_ + static_cast<std::uint32_t>(id_count) * id_bits_;
 }
 
-// ----------------------------------------------------------------- SlotMap
-
-void WalkEngine::SlotMap::init(std::uint64_t n) {
-  const std::uint64_t chunk = std::uint64_t{1} << kChunkBits;
-  // wcle-lint: no-alloc-ok(pointer table only — n/65536 entries, no chunks)
-  chunks_.resize(static_cast<std::size_t>((n + chunk - 1) >> kChunkBits));
-}
-
-void WalkEngine::SlotMap::set(NodeId node, std::int32_t v) {
-  std::unique_ptr<std::int32_t[]>& chunk = chunks_[node >> kChunkBits];
-  if (chunk == nullptr) {
-    constexpr std::size_t kWords = std::size_t{1} << kChunkBits;
-    // wcle-lint: no-alloc-ok(one 256 KiB chunk per 65536 touched nodes, warm)
-    chunk = std::make_unique<std::int32_t[]>(kWords);
-    std::memset(chunk.get(), 0xff, kWords * sizeof(std::int32_t));  // kNoSlot
-  }
-  chunk[node & ((1u << kChunkBits) - 1)] = v;
-}
-
-// --------------------------------------------------------------- LevelPool
-
-std::uint32_t WalkEngine::LevelPool::acquire() {
-  const std::uint32_t idx = static_cast<std::uint32_t>(used);
-  if (used == stay_in.size()) {
-    // Cold growth, capacity-guarded: every column gains its slot exactly
-    // once; recycled slots take the else branch with warm storage.
-    stay_in.push_back(0);
-    origin_inject.push_back(0);
-    stay_out.push_back(0);
-    sent_total.push_back(0);
-    proxy_units.push_back(0);
-    in_head.push_back(kNil);
-    out_head.push_back(kNil);
-    cc_got.push_back(0);
-    cc_distinct.push_back(0);
-    cc_proxy_nodes.push_back(0);
-    cc_ids.push_back(WordPool::kNull);
-    cc_ids_len.push_back(0);
-    cc_gen.push_back(0);
-    flood_seen.push_back(0);
-  } else {
-    stay_in[idx] = 0;
-    origin_inject[idx] = 0;
-    stay_out[idx] = 0;
-    sent_total[idx] = 0;
-    proxy_units[idx] = 0;
-    in_head[idx] = kNil;
-    out_head[idx] = kNil;
-    cc_got[idx] = 0;
-    cc_distinct[idx] = 0;
-    cc_proxy_nodes[idx] = 0;
-    cc_ids[idx] = WordPool::kNull;  // stale handles died with their generation
-    cc_ids_len[idx] = 0;
-    cc_gen[idx] = 0;
-    flood_seen[idx] = 0;
-  }
-  ++used;
-  return idx;
-}
-
 // ------------------------------------------------------------ origin state
 
 WalkEngine::OriginState& WalkEngine::intern(NodeId origin) {
@@ -208,7 +185,8 @@ WalkEngine::OriginState& WalkEngine::intern(NodeId origin) {
     origins_.emplace_back();
     OriginState& os = origins_.back();
     os.node = origin;
-    os.slot_of.init(g_->node_count());
+    // wcle-lint: no-alloc-ok(first-seen origin only; the index stays warm)
+    os.index.assign(16, kNil);
   }
   return origins_[idx];
 }
@@ -225,60 +203,65 @@ const WalkEngine::OriginState* WalkEngine::find_origin(
 }
 
 // The walk stage is the inner loop of every election phase: token disposal,
-// slot-table lookups, and the per-round pending queues all recycle pooled
-// storage — SoA level columns, chunked slot maps, port lists threaded
-// through per-origin arenas — so the steady state allocates nothing. Every
-// suppression inside this region is a warm-up-only growth point; slots,
-// levels, and arena entries are recycled across phases with their
-// capacities intact (see clear_origin and the recycled-slot branches).
+// trail-index lookups, and the per-round pending queues all recycle warm
+// storage (level rows, trail indexes, port arenas), so the steady state
+// allocates nothing. Every suppression inside this region is a warm-up-only
+// growth point; rows, index buckets and arena entries are cleared with their
+// capacities intact when an origin walks again (see clear_origin).
 // wcle-lint: begin-no-alloc
 std::uint32_t WalkEngine::level_at(OriginState& os, NodeId node,
                                    std::uint32_t r) {
-  std::int32_t s = os.slot_of.get(node);
-  if (s == kNoSlot) {
-    s = static_cast<std::int32_t>(os.slots_used);
-    os.slot_of.set(node, s);
-    // wcle-lint: no-alloc-ok(touched-list growth; survives clear_origin)
-    os.touched.push_back(node);
-    if (os.slots_used == os.slots.size())
-      os.slots.emplace_back();
-    else
-      os.slots[os.slots_used].refs.clear();  // recycled slot, warm capacity
-    ++os.slots_used;
+  const std::size_t mask = os.index.size() - 1;
+  std::size_t b = home_bucket(node, r, os.index.size());
+  for (;; b = (b + 1) & mask) {
+    const std::uint32_t row = os.index[b];
+    if (row == kNil) break;
+    const Level& lv = os.levels[row];
+    if (lv.node == node && lv.r == r) return row;
   }
-  NodeTrail& trail = os.slots[static_cast<std::size_t>(s)];
-  const auto it = std::lower_bound(
-      trail.refs.begin(), trail.refs.end(), r,
-      [](const std::pair<std::uint32_t, std::uint32_t>& ref,
-         std::uint32_t level) { return ref.first < level; });
-  if (it != trail.refs.end() && it->first == r) return it->second;
-  const std::uint32_t idx = os.pool.acquire();
-  // wcle-lint: no-alloc-ok(refs capacity retained across phases)
-  trail.refs.insert(it, {r, idx});
-  return idx;
+  const auto row = static_cast<std::uint32_t>(os.levels.size());
+  Level fresh;
+  fresh.node = node;
+  fresh.r = r;
+  // wcle-lint: no-alloc-ok(row capacity retained across phases)
+  os.levels.push_back(fresh);
+  if (2 * os.levels.size() > os.index.size())
+    grow_index(os);  // reinserts every row, this one included
+  else
+    os.index[b] = row;
+  return row;
 }
 
 std::uint32_t WalkEngine::find_level(const OriginState& os, NodeId node,
                                      std::uint32_t r) const noexcept {
-  const std::int32_t s = os.slot_of.get(node);
-  if (s == kNoSlot) return kNil;
-  const NodeTrail& trail = os.slots[static_cast<std::size_t>(s)];
-  const auto it = std::lower_bound(
-      trail.refs.begin(), trail.refs.end(), r,
-      [](const std::pair<std::uint32_t, std::uint32_t>& ref,
-         std::uint32_t level) { return ref.first < level; });
-  if (it == trail.refs.end() || it->first != r) return kNil;
-  return it->second;
+  const std::size_t mask = os.index.size() - 1;
+  for (std::size_t b = home_bucket(node, r, os.index.size());;
+       b = (b + 1) & mask) {
+    const std::uint32_t row = os.index[b];
+    if (row == kNil) return kNil;
+    const Level& lv = os.levels[row];
+    if (lv.node == node && lv.r == r) return row;
+  }
+}
+
+void WalkEngine::grow_index(OriginState& os) {
+  // wcle-lint: no-alloc-ok(cold growth: an origin's largest walk so far)
+  os.index.assign(2 * os.index.size(), kNil);
+  const std::size_t mask = os.index.size() - 1;
+  for (std::uint32_t row = 0; row < os.levels.size(); ++row) {
+    const Level& lv = os.levels[row];
+    std::size_t b = home_bucket(lv.node, lv.r, os.index.size());
+    while (os.index[b] != kNil) b = (b + 1) & mask;
+    os.index[b] = row;
+  }
 }
 
 void WalkEngine::clear_origin(NodeId origin) {
   OriginState* os = find_origin(origin);
   if (os == nullptr) return;
-  for (const NodeId node : os->touched) os->slot_of.set(node, kNoSlot);
-  os->touched.clear();
-  os->slots_used = 0;   // trail slots recycle lazily (refs cleared on reuse)
-  os->pool.used = 0;    // levels recycle lazily (reset on reuse in acquire)
-  os->in_arena.clear();  // port-list entries die with their levels
+  os->levels.clear();  // rows, index and arenas keep their capacity
+  std::fill(os->index.begin(), os->index.end(), kNil);
+  os->in_arena.clear();
   os->out_arena.clear();
   for (const NodeId node : os->proxies) {
     auto& regs = registrations_[node];
@@ -290,9 +273,9 @@ void WalkEngine::clear_origin(NodeId origin) {
 }
 
 void WalkEngine::note_arrival(OriginState& os, std::uint32_t lv, Port port,
-                              std::uint64_t count) {
+                              std::uint32_t count) {
   std::uint32_t tail = kNil;
-  for (std::uint32_t e = os.pool.in_head[lv]; e != kNil;
+  for (std::uint32_t e = os.levels[lv].in_head; e != kNil;
        e = os.in_arena[e].next) {
     if (os.in_arena[e].port == port) {
       os.in_arena[e].count += count;
@@ -304,7 +287,7 @@ void WalkEngine::note_arrival(OriginState& os, std::uint32_t lv, Port port,
   // wcle-lint: no-alloc-ok(arena entry, bounded by degree; stays warm)
   os.in_arena.push_back({count, port, kNil});
   if (tail == kNil)
-    os.pool.in_head[lv] = e;
+    os.levels[lv].in_head = e;
   else
     os.in_arena[tail].next = e;
 }
@@ -320,12 +303,11 @@ const std::vector<NodeId>& WalkEngine::proxy_nodes(NodeId origin) const {
 }
 
 void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
-                               std::uint64_t count,
+                               std::uint32_t count,
                                std::vector<Pending>& next) {
   const std::uint32_t li = level_at(os, node, r);
-  LevelPool& pool = os.pool;
+  os.levels[li].units += count;
   if (r == 0) {
-    pool.proxy_units[li] += count;
     auto& regs = registrations_[node];
     const auto it = reg_position(regs, os.node);
     if (it == regs.end() || it->first != os.node) {
@@ -339,13 +321,12 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
     return;
   }
 
-  const std::uint64_t stays =
-      config_.lazy ? rng_->next_binomial(count, 0.5) : 0;
-  const std::uint64_t movers = count - stays;
+  const auto stays = static_cast<std::uint32_t>(
+      config_.lazy ? rng_->next_binomial(count, 0.5) : 0);
+  const std::uint32_t movers = count - stays;
   if (stays > 0) {
-    pool.stay_out[li] += stays;
-    // level_at may grow the columns; li-indexed access stays valid.
-    pool.stay_in[level_at(os, node, r - 1)] += stays;
+    // level_at may grow the rows; li-indexed access stays valid.
+    os.levels[level_at(os, node, r - 1)].stay_in += stays;
     // wcle-lint: no-alloc-ok(phase-local queue; warm after round one)
     next.push_back({node, os.node, r - 1, stays});
   }
@@ -360,7 +341,7 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
     if (sent == 0) continue;
     left -= sent;
     std::uint32_t tail = kNil;
-    std::uint32_t e = pool.out_head[li];
+    std::uint32_t e = os.levels[li].out_head;
     while (e != kNil && os.out_arena[e].port != p) {
       tail = e;
       e = os.out_arena[e].next;
@@ -370,11 +351,10 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
       // wcle-lint: no-alloc-ok(arena entry, bounded by degree; stays warm)
       os.out_arena.push_back({p, kNil});
       if (tail == kNil)
-        pool.out_head[li] = ne;
+        os.levels[li].out_head = ne;
       else
         os.out_arena[tail].next = ne;
     }
-    pool.sent_total[li] += sent;
     Message msg;
     msg.tag = kTagWalkToken;
     msg.a = os.node;
@@ -392,24 +372,6 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
 }
 
 std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
-  std::vector<Pending> cur, next;
-
-  for (const WalkOrder& o : orders) {
-    if (o.count == 0 || o.length == 0)
-      throw std::invalid_argument("run_walk_stage: count/length must be >= 1");
-    clear_origin(o.origin);
-  }
-  for (const WalkOrder& o : orders) {
-    OriginState& os = intern(o.origin);
-    os.length = std::max(os.length, o.length);
-    os.pool.origin_inject[level_at(os, o.origin, o.length)] += o.count;
-    // wcle-lint: no-alloc-ok(stage setup, once per phase)
-    cur.push_back({o.origin, o.origin, o.length, o.count});
-  }
-
-  const std::uint32_t nshards = net_->shard_count();
-  if (shard_pending_.size() < nshards) shard_pending_.resize(nshards);
-
   // Deterministic processing order: (node, origin) ascending, descending
   // remaining-length within — the order the hash-map engine produced by
   // sorting its keys. Equal (node, origin, level) buckets merge before
@@ -419,10 +381,36 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
     if (x.origin != y.origin) return x.origin < y.origin;
     return x.level > y.level;
   };
+
+  // Every count in a level row is bounded by its origin's walk count, so
+  // one order per origin and 32-bit counts keep the rows' counters exact.
+  std::vector<Pending> cur, next;
+  for (const WalkOrder& o : orders) {
+    if (o.count == 0 || o.length == 0)
+      throw std::invalid_argument("run_walk_stage: count/length must be >= 1");
+    if (o.count > 0xffffffffull)
+      throw std::invalid_argument(
+          "run_walk_stage: count must fit 32 bits (level counters are 32-bit)");
+    // wcle-lint: no-alloc-ok(stage setup, once per phase)
+    cur.push_back({o.origin, o.origin, o.length,
+                   static_cast<std::uint32_t>(o.count)});
+  }
+  std::sort(cur.begin(), cur.end(), by_token);
+  if (std::adjacent_find(cur.begin(), cur.end(),
+                         [](const Pending& x, const Pending& y) {
+                           return x.origin == y.origin;
+                         }) != cur.end())
+    throw std::invalid_argument("run_walk_stage: duplicate origin");
+  for (const WalkOrder& o : orders) clear_origin(o.origin);
+  for (const WalkOrder& o : orders) intern(o.origin).length = o.length;
+
+  const std::uint32_t nshards = net_->shard_count();
+  if (shard_pending_.size() < nshards) shard_pending_.resize(nshards);
+
   const auto dispose_sorted = [&](const std::vector<Pending>& bucket) {
     std::size_t i = 0;
     while (i < bucket.size()) {
-      std::uint64_t total = bucket[i].count;
+      std::uint32_t total = bucket[i].count;
       std::size_t j = i + 1;
       while (j < bucket.size() && bucket[j].node == bucket[i].node &&
              bucket[j].origin == bucket[i].origin &&
@@ -474,7 +462,7 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
       assert(d.msg.tag == kTagWalkToken);
       const NodeId origin = static_cast<NodeId>(d.msg.a);
       const std::uint32_t r = static_cast<std::uint32_t>(d.msg.b);
-      const std::uint64_t count = d.msg.c;
+      const auto count = static_cast<std::uint32_t>(d.msg.c);
       if (trace_walks)
         // d.port is the receiver's mirror port, so its neighbor view names
         // the sender: the hop's directed edge is src -> dst.
@@ -482,9 +470,7 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
             net_->round(), static_cast<std::uint32_t>(origin),
             static_cast<std::uint32_t>(g_->neighbor(d.dst, d.port)),
             static_cast<std::uint32_t>(d.dst),
-            static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(count, 0xffffffffull)),
-            d.msg.tag);
+            count, d.msg.tag);
       OriginState* os = find_origin(origin);
       assert(os != nullptr);
       note_arrival(*os, level_at(*os, d.dst, r), d.port, count);
@@ -501,8 +487,8 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
 
 WalkEngine::PooledReply WalkEngine::intern_reply(const std::uint64_t* ids,
                                                  std::uint32_t len,
-                                                 std::uint64_t distinct,
-                                                 std::uint64_t proxies) {
+                                                 std::uint32_t distinct,
+                                                 std::uint32_t proxies) {
   PooledReply r;
   r.distinct_proxies = distinct;
   r.proxy_nodes = proxies;
@@ -544,16 +530,18 @@ void WalkEngine::merge_reply(PooledReply& into, PooledReply& from) {
     from.len = 0;
     return;
   }
-  const std::uint32_t dst = cc_pool_.alloc(into.len + from.len);
+  // Sized by the union, not the sum: the slot's class must be the one
+  // free() will later derive from its length.
   const std::uint64_t* a = cc_pool_.data(into.ids);
   const std::uint64_t* b = cc_pool_.data(from.ids);
-  std::uint64_t* out = cc_pool_.data(dst);
-  std::uint64_t* end =
-      std::set_union(a, a + into.len, b, b + from.len, out);
+  const std::uint32_t len = union_size(a, into.len, b, from.len);
+  // a and b stay valid across alloc(): chunks never move.
+  const std::uint32_t dst = cc_pool_.alloc(len);
+  std::set_union(a, a + into.len, b, b + from.len, cc_pool_.data(dst));
   cc_pool_.free(into.ids, into.len);
   cc_pool_.free(from.ids, from.len);
   into.ids = dst;
-  into.len = static_cast<std::uint32_t>(end - out);
+  into.len = len;
   from.ids = WordPool::kNull;
   from.len = 0;
 }
@@ -569,83 +557,71 @@ std::vector<WalkEvent> WalkEngine::begin_convergecast(
       const auto it = regs.find(origin);
       assert(it != regs.end());
       ReplyPayload payload = at_proxy(proxy, origin, it->second);
+      // Each proxy counts at most once per walk it ends, so every aggregate
+      // stays within the origin's 32-bit walk count.
+      if (payload.distinct_proxies > it->second ||
+          payload.proxy_nodes > it->second)
+        throw std::invalid_argument(
+            "begin_convergecast: a proxy's counters exceed its walk count");
       const PooledReply pooled = intern_reply(
           payload.ids.data(), static_cast<std::uint32_t>(payload.ids.size()),
-          payload.distinct_proxies, payload.proxy_nodes);
+          static_cast<std::uint32_t>(payload.distinct_proxies),
+          static_cast<std::uint32_t>(payload.proxy_nodes));
       // Seed distribution from the trail's terminal level.
-      credit(proxy, origin, 0, it->second, pooled, events);
+      credit(proxy, origin, 0, static_cast<std::uint32_t>(it->second), pooled,
+             events);
     }
   }
   return events;
 }
 
 void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
-                        std::uint64_t units, PooledReply payload,
+                        std::uint32_t units, PooledReply payload,
                         std::vector<WalkEvent>& events) {
   OriginState* osp = find_origin(origin);
   assert(osp != nullptr);
   OriginState& os = *osp;
-  LevelPool& pool = os.pool;
-  struct Work {
-    NodeId node;
-    std::uint32_t r;
-    std::uint64_t units;
-    PooledReply payload;
-  };
-  std::vector<Work> stack;
-  stack.push_back({node, r, units, payload});
+  if (os.cc_gen != cc_gen_) {
+    // First credit of this convergecast generation: reset the origin's rows
+    // in place. Their old handles are NOT freed — that storage died in the
+    // rewind, so freeing it would corrupt the fresh pool.
+    os.cc_gen = cc_gen_;
+    for (Level& lv : os.levels) {
+      lv.cc_got = 0;
+      lv.cc = PooledReply{};
+    }
+  }
+  cc_stack_.push_back({node, r, units, payload});
 
-  while (!stack.empty()) {
-    Work w = stack.back();
-    stack.pop_back();
+  while (!cc_stack_.empty()) {
+    CreditWork w = cc_stack_.back();
+    cc_stack_.pop_back();
     const std::uint32_t li = find_level(os, w.node, w.r);
     assert(li != kNil);
+    Level& lv = os.levels[li];
 
     PooledReply agg;
     if (w.r == 0) {
       // Terminal level: all proxy units report at once; no counting needed.
       agg = w.payload;
     } else {
-      if (pool.cc_gen[li] != cc_gen_) {
-        // First credit of this convergecast generation: reset in place. The
-        // previous generation's handle is NOT freed — its storage died in
-        // the rewind, so freeing it would corrupt the fresh pool.
-        pool.cc_gen[li] = cc_gen_;
-        pool.cc_got[li] = 0;
-        pool.cc_distinct[li] = 0;
-        pool.cc_proxy_nodes[li] = 0;
-        pool.cc_ids[li] = WordPool::kNull;
-        pool.cc_ids_len[li] = 0;
-      }
-      pool.cc_got[li] += w.units;
-      PooledReply cur{pool.cc_distinct[li], pool.cc_proxy_nodes[li],
-                      pool.cc_ids[li], pool.cc_ids_len[li]};
-      merge_reply(cur, w.payload);
-      pool.cc_distinct[li] = cur.distinct_proxies;
-      pool.cc_proxy_nodes[li] = cur.proxy_nodes;
-      pool.cc_ids[li] = cur.ids;
-      pool.cc_ids_len[li] = cur.len;
-      const std::uint64_t need = pool.stay_out[li] + pool.sent_total[li];
-      assert(pool.cc_got[li] <= need);
-      if (pool.cc_got[li] < need) continue;
-      agg = cur;  // completed: take the aggregate out of the level
-      pool.cc_distinct[li] = 0;
-      pool.cc_proxy_nodes[li] = 0;
-      pool.cc_ids[li] = WordPool::kNull;
-      pool.cc_ids_len[li] = 0;
+      lv.cc_got += w.units;
+      merge_reply(lv.cc, w.payload);
+      assert(lv.cc_got <= lv.units);
+      if (lv.cc_got < lv.units) continue;
+      agg = lv.cc;  // completed: take the aggregate out of the level
+      lv.cc = PooledReply{};
     }
 
     // Completed: partition units over the parents; the full aggregate
     // travels with the first parent, the rest carry unit counts only.
     bool first = true;
-    if (pool.stay_in[li] > 0) {
-      stack.push_back({w.node, w.r + 1, pool.stay_in[li],
-                       first ? agg : PooledReply{}});
-      if (first) agg = PooledReply{};  // ownership moved to the stack entry
+    if (lv.stay_in > 0) {
+      cc_stack_.push_back({w.node, w.r + 1, lv.stay_in, agg});
+      agg = PooledReply{};  // ownership moved to the stack entry
       first = false;
     }
-    for (std::uint32_t e = pool.in_head[li]; e != kNil;
-         e = os.in_arena[e].next) {
+    for (std::uint32_t e = lv.in_head; e != kNil; e = os.in_arena[e].next) {
       Message msg;
       msg.tag = kTagReplyUp;
       msg.a = origin;
@@ -653,7 +629,7 @@ void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
       msg.c = os.in_arena[e].count;
       const bool carried = first;
       if (carried) {
-        msg.d = (agg.distinct_proxies << 32) | agg.proxy_nodes;
+        msg.d = (std::uint64_t{agg.distinct_proxies} << 32) | agg.proxy_nodes;
         if (agg.len > 0) msg.ids = IdSpan(cc_pool_.data(agg.ids), agg.len);
         first = false;
       }
@@ -661,7 +637,7 @@ void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
       net_->send(w.node, os.in_arena[e].port, msg);
       if (carried) free_reply(agg);  // send() copied the ids into its arena
     }
-    if (pool.origin_inject[li] > 0) {
+    if (w.node == os.node && w.r == os.length) {  // the walks' injection point
       WalkEvent ev;
       ev.kind = WalkEvent::Kind::kConvergecastDone;
       ev.node = w.node;
@@ -694,27 +670,24 @@ void WalkEngine::flood_at(NodeId node, NodeId origin, std::uint32_t r,
   OriginState* osp = find_origin(origin);
   if (osp == nullptr) return;  // stale message for a never-walked origin
   OriginState& os = *osp;
-  LevelPool& pool = os.pool;
-  NodeId cur = node;
   std::uint32_t level = r;
-  for (;;) {
-    const std::uint32_t li = find_level(os, cur, level);
-    if (li == kNil) return;
-    if (pool.flood_seen[li] == gen) return;
-    pool.flood_seen[li] = gen;
+  std::uint32_t li = find_level(os, node, level);
+  while (li != kNil) {
+    Level& lv = os.levels[li];
+    if (lv.flood_seen == gen) return;
+    lv.flood_seen = gen;
     if (level == 0) {
-      if (pool.proxy_units[li] > 0) {
+      if (lv.units > 0) {
         WalkEvent ev;
         ev.kind = WalkEvent::Kind::kFloodAtProxy;
-        ev.node = cur;
+        ev.node = node;
         ev.origin = origin;
         ev.ids = ids.to_vector();
         events.push_back(std::move(ev));
       }
       return;
     }
-    for (std::uint32_t e = pool.out_head[li]; e != kNil;
-         e = os.out_arena[e].next) {
+    for (std::uint32_t e = lv.out_head; e != kNil; e = os.out_arena[e].next) {
       Message msg;
       msg.tag = kTagFloodDown;
       msg.a = origin;
@@ -722,10 +695,12 @@ void WalkEngine::flood_at(NodeId node, NodeId origin, std::uint32_t r,
       msg.c = gen;
       msg.ids = ids;  // forwarded as a view; send() copies into the arena
       msg.bits = payload_bits(ids.size());
-      net_->send(cur, os.out_arena[e].port, msg);
+      net_->send(node, os.out_arena[e].port, msg);
     }
-    if (pool.stay_out[li] == 0) return;
-    --level;  // continue locally through the lazy self-step link
+    // Continue locally through the lazy self-step link, if any walk took
+    // it: those units arrived one level down as stay_in.
+    li = find_level(os, node, --level);
+    if (li != kNil && os.levels[li].stay_in == 0) return;
   }
 }
 
@@ -742,36 +717,30 @@ void WalkEngine::unicast_at(NodeId node, NodeId origin, std::uint32_t r,
   OriginState* osp = find_origin(origin);
   if (osp == nullptr) return;  // stale trail; drop
   OriginState& os = *osp;
-  LevelPool& pool = os.pool;
-  NodeId cur = node;
-  std::uint32_t level = r;
-  for (;;) {
-    const std::uint32_t li = find_level(os, cur, level);
+  for (std::uint32_t level = r;; ++level) {
+    const std::uint32_t li = find_level(os, node, level);
     if (li == kNil) return;  // stale trail; drop
-    if (pool.origin_inject[li] > 0) {
+    if (node == os.node && level == os.length) {  // the injection point
       WalkEvent ev;
       ev.kind = WalkEvent::Kind::kUnicastAtOrigin;
-      ev.node = cur;
+      ev.node = node;
       ev.origin = origin;
       ev.ids = std::move(ids);
       events.push_back(std::move(ev));
       return;
     }
-    if (pool.stay_in[li] > 0) {
-      ++level;  // lazy self-step: ascend locally
-      continue;
-    }
-    if (pool.in_head[li] != kNil) {
+    const Level& lv = os.levels[li];
+    if (lv.stay_in > 0) continue;  // lazy self-step: ascend locally
+    if (lv.in_head != kNil) {
       Message msg;
       msg.tag = kTagUnicastUp;
       msg.a = origin;
       msg.b = level + 1;
       msg.ids = IdSpan(ids);
       msg.bits = payload_bits(ids.size());
-      net_->send(cur, os.in_arena[pool.in_head[li]].port, msg);
-      return;
+      net_->send(node, os.in_arena[lv.in_head].port, msg);
     }
-    return;  // orphan level (should not happen on complete trails)
+    return;  // sent, or an orphan level (should not happen on full trails)
   }
 }
 
@@ -779,11 +748,13 @@ std::vector<WalkEvent> WalkEngine::handle(const Delivery& d) {
   std::vector<WalkEvent> events;
   switch (d.msg.tag) {
     case kTagReplyUp: {
-      const PooledReply payload =
-          intern_reply(d.msg.ids.data(), d.msg.ids.size(), d.msg.d >> 32,
-                       d.msg.d & 0xffffffffu);
+      const PooledReply payload = intern_reply(
+          d.msg.ids.data(), static_cast<std::uint32_t>(d.msg.ids.size()),
+          static_cast<std::uint32_t>(d.msg.d >> 32),
+          static_cast<std::uint32_t>(d.msg.d));
       credit(d.dst, static_cast<NodeId>(d.msg.a),
-             static_cast<std::uint32_t>(d.msg.b), d.msg.c, payload, events);
+             static_cast<std::uint32_t>(d.msg.b),
+             static_cast<std::uint32_t>(d.msg.c), payload, events);
       break;
     }
     case kTagFloodDown:
@@ -800,6 +771,27 @@ std::vector<WalkEvent> WalkEngine::handle(const Delivery& d) {
       assert(false && "WalkEngine::handle: unexpected tag");
   }
   return events;
+}
+
+WalkEngine::MemoryBytes WalkEngine::memory_bytes() const noexcept {
+  MemoryBytes m;
+  m.trails = origins_.capacity() * sizeof(OriginState) +
+             origin_index_.capacity() * sizeof(std::uint32_t) +
+             registrations_.capacity() * sizeof(registrations_[0]) +
+             cc_stack_.capacity() * sizeof(CreditWork);
+  for (const OriginState& os : origins_) {
+    m.trails += os.levels.capacity() * sizeof(Level) +
+                os.index.capacity() * sizeof(std::uint32_t) +
+                os.in_arena.capacity() * sizeof(InEntry) +
+                os.out_arena.capacity() * sizeof(OutEntry) +
+                os.proxies.capacity() * sizeof(NodeId);
+  }
+  for (const std::vector<Registration>& regs : registrations_)
+    m.trails += regs.capacity() * sizeof(Registration);
+  for (const std::vector<Pending>& bucket : shard_pending_)
+    m.trails += bucket.capacity() * sizeof(Pending);
+  m.id_pool = cc_pool_.memory_bytes();
+  return m;
 }
 
 }  // namespace wcle

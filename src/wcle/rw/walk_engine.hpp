@@ -18,22 +18,38 @@
 // the lifetime the algorithm needs (inactive contenders keep their proxies;
 // active contenders re-walk with doubled length and re-register).
 //
-// State layout (the data-plane rebuild, grown for million-node runs): origins
-// are interned into a dense index; each origin owns a chunked, lazily
-// materialized node->slot map (a dense per-origin array would cost O(n) per
-// contender at n = 10^6), slots hold small level-sorted trail arrays, and the
-// level records live in a structure-of-arrays pool — parallel scalar columns
-// plus port lists threaded through per-origin arenas, so a trail level costs
-// a fixed few words in flat storage instead of a struct with two heap-backed
-// vectors. Convergecast id sets live in an engine-owned WordPool whose
-// size-class free lists are threaded through the freed storage itself, so
-// the merge-heavy aggregation recycles buffers without touching the heap.
-// run_walk_stage's per-round token buckets partition by the transport's node
-// shards and sort per shard (concatenating sorted shard buckets reproduces
-// the global order, since shards are contiguous node ranges and the sort key
-// leads with the node). No hash table is touched anywhere on the hot path,
-// and after the first phase the engine performs no steady-state allocation;
-// executions are bit-identical to the hash-map implementation.
+// State layout: origins are interned into a dense index, and each origin owns
+// its trails as one flat array of packed 48-byte level rows, one per
+// (node, remaining-level) its walks touched. Rows are found through a
+// per-origin open-addressed index of row numbers keyed by (node, level), so
+// a lookup is a hash, one bucket load and one row load, with no per-node
+// map and no per-slot array to search. A row is a plain struct because every
+// lookup reads several of its fields (units, self-step and port lists,
+// convergecast state) together: one cache line instead of one line per
+// column. Port lists are threaded through per-origin arrival/departure
+// arenas. Every counter in a row is 32-bit: each is bounded by its origin's
+// walk count, which run_walk_stage checks. Counts the code can derive are
+// not stored: a level's self-step departures are the self-step arrivals one
+// level down, and the walks' injection point is (origin, length).
+// Convergecast id sets live in an engine-owned WordPool, allocated at the
+// exact size class of each set-union, with size-class free lists threaded
+// through the freed storage itself. run_walk_stage's per-round token buckets
+// partition by the transport's node shards and sort per shard (concatenating
+// sorted shard buckets reproduces the global order, since shards are
+// contiguous node ranges and the sort key leads with the node). After the
+// first phase the engine performs no steady-state allocation.
+//
+// Footprint at the end of one n = 65,536 expander election (graph seed 1,
+// run seed 2: 57 origins, 816,892 level rows), allocated bytes, before
+// (chunked node->slot maps, per-slot level arrays, SoA columns) and now:
+//
+//   store                            before     now
+//   level rows (88 B -> 48 B/row)     82.2 MB   44.8 MB
+//   (node, level) -> row lookup       35.9 MB    7.5 MB
+//   port arenas                       22.4 MB   18.7 MB
+//   proxies, registrations             4.3 MB    4.3 MB
+//   trail state, total               144.8 MB   75.3 MB
+//   convergecast id-set pool         108.0 MB   12.1 MB
 #pragma once
 
 #include <cstdint>
@@ -57,6 +73,7 @@ inline constexpr std::uint8_t kTagUnicastUp = 0x13;
 
 /// A request to run `count` parallel lazy walks of `length` steps from
 /// `origin`. Any previous trails/registrations of `origin` are discarded.
+/// `count` must fit 32 bits, and an origin appears at most once per stage.
 struct WalkOrder {
   NodeId origin = 0;
   std::uint64_t count = 0;
@@ -99,14 +116,16 @@ struct WalkEvent {
 using ProxyPayloadFn = std::function<ReplyPayload(
     NodeId proxy, NodeId origin, std::uint64_t units)>;
 
-/// Ablation switches (DESIGN.md §5). Defaults reproduce the paper.
+/// Ablation switches (each ablation is named in tests/test_ablations.cpp).
+/// Defaults reproduce the paper.
 struct WalkConfig {
   /// Lazy walks (stay w.p. 1/2) — the paper's chain. Non-lazy walks fail to
-  /// mix on bipartite graphs (parity trap): ablation 4.
+  /// mix on bipartite graphs (parity trap): the NonLazy* ablations.
   bool lazy = true;
   /// Token coalescing (one (origin, remaining, count) token per edge) —
   /// Lemma 12's device. When false, each walk unit is charged as its own
-  /// O(log n)-bit token, modelling the naive per-walk transport: ablation 1.
+  /// O(log n)-bit token, modelling the naive per-walk transport: the
+  /// Coalescing* ablations.
   bool coalesce = true;
 };
 
@@ -124,10 +143,15 @@ class WordPool {
 
   /// Returns a handle to a slot of capacity >= n words (n >= 1).
   std::uint32_t alloc(std::uint32_t n);
-  /// Releases a slot previously allocated with the same n.
+  /// Releases a slot. `n` must be the length the slot was allocated with:
+  /// the slot is filed under size_class(n), so any other n either strands
+  /// the slot's tail until rewind() or hands an undersized slot to a later
+  /// alloc().
   void free(std::uint32_t h, std::uint32_t n);
   /// Drops every allocation and rewinds to the first chunk.
   void rewind();
+  /// Heap bytes held: chunks (bump and dedicated) plus bookkeeping.
+  std::uint64_t memory_bytes() const noexcept;
 
   std::uint64_t* data(std::uint32_t h) noexcept {
     return chunks_[h >> kChunkBits].get() + (h & (kChunkWords - 1));
@@ -235,66 +259,49 @@ class WalkEngine {
   /// it completes. Must be called for every such delivery.
   std::vector<WalkEvent> handle(const Delivery& d);
 
+  /// Heap footprint of the engine, in the style of Graph::memory_bytes():
+  /// capacities, not sizes.
+  struct MemoryBytes {
+    std::uint64_t trails = 0;   ///< rows, trail indexes, port arenas,
+                                ///< proxy lists and registrations
+    std::uint64_t id_pool = 0;  ///< convergecast id-set WordPool
+  };
+  MemoryBytes memory_bytes() const noexcept;
+
  private:
   static constexpr std::uint32_t kNoOrigin = 0xffffffffu;
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  static constexpr std::int32_t kNoSlot = -1;
 
-  /// node -> slot map, chunked and lazily materialized: a chunk is allocated
-  /// (and memset to kNoSlot — all 0xff bytes) the first time a node in its
-  /// range is assigned. An origin's walks touch O(walks * length) nodes, a
-  /// small fraction of a million-node id space, so the dense array this
-  /// replaces would be almost entirely untouched -1s.
-  class SlotMap {
-   public:
-    void init(std::uint64_t n);
-    std::int32_t get(NodeId node) const noexcept {
-      const std::int32_t* chunk = chunks_[node >> kChunkBits].get();
-      return chunk == nullptr ? kNoSlot
-                              : chunk[node & ((1u << kChunkBits) - 1)];
-    }
-    void set(NodeId node, std::int32_t v);
-
-   private:
-    static constexpr std::uint32_t kChunkBits = 16;
-    std::vector<std::unique_ptr<std::int32_t[]>> chunks_;
+  /// In-flight convergecast aggregate: the counters plus the id set as a
+  /// WordPool (handle, len). The engine's internal currency; materialized
+  /// into a ReplyPayload only at the protocol boundary.
+  struct PooledReply {
+    std::uint32_t distinct_proxies = 0;
+    std::uint32_t proxy_nodes = 0;
+    std::uint32_t ids = WordPool::kNull;
+    std::uint32_t len = 0;
   };
 
-  /// The level records of one origin, structure-of-arrays: parallel scalar
-  /// columns indexed by pool slot, with the per-level port lists threaded
-  /// through the owning OriginState's arenas (in_head/out_head are arena
-  /// indices, kNil = empty). Slots recycle via the `used` cursor — acquire()
-  /// zeroes a recycled slot in place, so re-walking origins reuse warm
-  /// storage. Replaces the AoS Level struct whose two heap-backed vectors
-  /// per record dominated footprint and allocator traffic at n = 10^6.
-  struct LevelPool {
-    std::vector<std::uint64_t> stay_in;       ///< units arriving by self-step
-    std::vector<std::uint64_t> origin_inject; ///< units injected (r = len)
-    std::vector<std::uint64_t> stay_out;      ///< units leaving by self-step
-    std::vector<std::uint64_t> sent_total;    ///< units forwarded over ports
-    std::vector<std::uint64_t> proxy_units;   ///< units terminating (r == 0)
-    std::vector<std::uint32_t> in_head;       ///< arrivals list head (arena)
-    std::vector<std::uint32_t> out_head;      ///< departures list head
-    // Convergecast runtime, valid while cc_gen matches the engine counter;
-    // the id-set union lives in the engine's WordPool as (handle, len).
-    std::vector<std::uint64_t> cc_got;
-    std::vector<std::uint64_t> cc_distinct;
-    std::vector<std::uint64_t> cc_proxy_nodes;
-    std::vector<std::uint32_t> cc_ids;
-    std::vector<std::uint32_t> cc_ids_len;
-    std::vector<std::uint32_t> cc_gen;
-    // Last flood generation forwarded through this level.
-    std::vector<std::uint32_t> flood_seen;
-    std::size_t used = 0;
-
-    std::size_t size() const noexcept { return stay_in.size(); }
-    /// Next slot index: recycles (reset in place) or grows every column.
-    std::uint32_t acquire();
+  /// What one origin's walks did at (node, r), r = remaining steps. A level
+  /// with r > 0 forwards every unit it receives, so `units` is both its
+  /// inflow and its outflow; at r == 0 it counts the walk endpoints.
+  struct Level {
+    NodeId node = 0;               ///< key
+    std::uint32_t r = 0;           ///< key
+    std::uint32_t units = 0;       ///< units disposed here
+    std::uint32_t stay_in = 0;     ///< units arriving by self-step (r + 1)
+    std::uint32_t in_head = kNil;  ///< arrival list head (in_arena) | kNil
+    std::uint32_t out_head = kNil; ///< departure list head (out_arena)
+    std::uint32_t flood_seen = 0;  ///< last flood generation forwarded
+    // Convergecast runtime, valid while the owning origin's cc_gen matches
+    // the engine counter.
+    std::uint32_t cc_got = 0;
+    PooledReply cc;
   };
 
   /// One entry of a level's arrival list: `count` units came in over `port`.
   struct InEntry {
-    std::uint64_t count;
+    std::uint32_t count;
     Port port;
     std::uint32_t next;  ///< arena index of the next entry | kNil
   };
@@ -304,37 +311,21 @@ class WalkEngine {
     std::uint32_t next;
   };
 
-  /// Trail of one origin at one node: (level, pool index) sorted by level.
-  /// Typically a handful of entries — binary search beats any hash here.
-  struct NodeTrail {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> refs;
-  };
-
-  /// All engine state of one interned origin. Trail storage (slots + level
-  /// pool + port arenas) is recycled via cursors on clear, so re-walking
-  /// origins reuse warm capacity instead of churning the allocator.
+  /// All engine state of one interned origin. Rows, index and arenas are
+  /// cleared, not freed, when the origin walks again, so re-walking origins
+  /// reuse warm capacity instead of churning the allocator.
   struct OriginState {
     NodeId node = 0;
     std::uint32_t length = 0;     ///< latest walk length (0 = no trails)
     std::uint32_t flood_gen = 0;  ///< per-origin flood generation counter
-    SlotMap slot_of;              ///< node -> slot index | kNoSlot
-    std::vector<NodeId> touched;  ///< nodes with a slot
-    std::vector<NodeTrail> slots;
-    std::size_t slots_used = 0;
-    LevelPool pool;
+    std::uint32_t cc_gen = 0;     ///< convergecast generation of `levels`
+    std::vector<Level> levels;
+    /// (node, r) -> row of `levels` | kNil: linear probing over a power of
+    /// two buckets, at most half full; keys are read from the rows.
+    std::vector<std::uint32_t> index;
     std::vector<InEntry> in_arena;    ///< arrival-list entries, all levels
     std::vector<OutEntry> out_arena;  ///< departure-list entries
     std::vector<NodeId> proxies;
-  };
-
-  /// In-flight convergecast aggregate: the counters plus the id set as a
-  /// WordPool (handle, len). The engine's internal currency; materialized
-  /// into a ReplyPayload only at the protocol boundary.
-  struct PooledReply {
-    std::uint64_t distinct_proxies = 0;
-    std::uint64_t proxy_nodes = 0;
-    std::uint32_t ids = WordPool::kNull;
-    std::uint32_t len = 0;
   };
 
   /// A pending (node, origin, level, units) token bucket of the walk stage.
@@ -346,7 +337,7 @@ class WalkEngine {
     NodeId node = 0;
     NodeId origin = 0;
     std::uint32_t level = 0;
-    std::uint64_t count = 0;
+    std::uint32_t count = 0;
   };
 
   OriginState& intern(NodeId origin);
@@ -354,23 +345,25 @@ class WalkEngine {
   const OriginState* find_origin(NodeId origin) const noexcept;
 
   void clear_origin(NodeId origin);
-  /// Pool slot of (node, r), creating the level if absent.
+  /// Row of (node, r), creating the level if absent.
   std::uint32_t level_at(OriginState& os, NodeId node, std::uint32_t r);
-  /// Pool slot of (node, r) | kNil.
+  /// Row of (node, r) | kNil.
   std::uint32_t find_level(const OriginState& os, NodeId node,
                            std::uint32_t r) const noexcept;
+  /// Doubles `os.index` and reinserts every row.
+  void grow_index(OriginState& os);
 
   /// Walk-stage helper: disposes `count` units at (node, origin, r).
   void dispose_units(OriginState& os, NodeId node, std::uint32_t r,
-                     std::uint64_t count, std::vector<Pending>& next);
+                     std::uint32_t count, std::vector<Pending>& next);
 
-  /// Records `count` units arriving at level slot `lv` over `port`.
+  /// Records `count` units arriving at level row `lv` over `port`.
   void note_arrival(OriginState& os, std::uint32_t lv, Port port,
-                    std::uint64_t count);
+                    std::uint32_t count);
 
   /// Convergecast plumbing between the pooled and materialized forms.
   PooledReply intern_reply(const std::uint64_t* ids, std::uint32_t len,
-                           std::uint64_t distinct, std::uint64_t proxies);
+                           std::uint32_t distinct, std::uint32_t proxies);
   ReplyPayload materialize(PooledReply& r);  ///< frees r's pooled buffer
   void free_reply(PooledReply& r);
   /// Folds `from` into `into` (sorted set-union of the id buffers, counter
@@ -379,7 +372,7 @@ class WalkEngine {
 
   /// Convergecast helper: credits `units`/`payload` to (node, origin, r) and
   /// cascades completions (locally through stay-links, remotely via sends).
-  void credit(NodeId node, NodeId origin, std::uint32_t r, std::uint64_t units,
+  void credit(NodeId node, NodeId origin, std::uint32_t r, std::uint32_t units,
               PooledReply payload, std::vector<WalkEvent>& events);
 
   /// Flood helper: processes payload at (node, origin, r) cascading locally
@@ -411,6 +404,15 @@ class WalkEngine {
 
   std::uint32_t cc_gen_ = 0;  ///< bumped by begin_convergecast (state reset)
   WordPool cc_pool_;          ///< id-set buffers, rewound per generation
+
+  /// credit()'s work stack: (node, level, units, payload) still to fold in.
+  struct CreditWork {
+    NodeId node;
+    std::uint32_t r;
+    std::uint32_t units;
+    PooledReply payload;
+  };
+  std::vector<CreditWork> cc_stack_;
 
   /// Walk-stage scratch: one token bucket per transport shard, sorted in
   /// parallel via Network::run_on_shards.

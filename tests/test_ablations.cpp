@@ -1,4 +1,5 @@
-// Ablations of the design choices DESIGN.md §5 calls out: each switch must
+// Ablations of the paper's design choices, one test per claim
+// (Coalescing*: token coalescing; NonLazy*: lazy walks). Each switch must
 // change behaviour in exactly the direction the paper's design arguments
 // predict — coalescing saves the per-walk token bill, laziness fixes the
 // bipartite parity trap, wide links trade bandwidth for message count.

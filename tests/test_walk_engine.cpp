@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -246,6 +247,56 @@ TEST(WalkEngine, RejectsZeroCountOrLength) {
   Harness h(make_ring(8));
   EXPECT_THROW(h.engine.run_walk_stage({{0, 0, 4}}), std::invalid_argument);
   EXPECT_THROW(h.engine.run_walk_stage({{0, 4, 0}}), std::invalid_argument);
+  // Level counters are 32-bit: a count beyond them is rejected up front.
+  EXPECT_THROW(h.engine.run_walk_stage({{0, std::uint64_t{1} << 32, 4}}),
+               std::invalid_argument);
+}
+
+TEST(WalkEngine, IdPoolStaysWithinLiveRowsTimesPayload) {
+  // Every proxy reports kIds ids drawn from a universe of kUniverse ids, so
+  // no set-union holds more than kUniverse ids. A live id set is the union
+  // of a disjoint group of proxy payloads, so there are never more live sets
+  // than proxy rows, and the pool needs at most one power-of-two slot of
+  // kUniverse ids per proxy row, plus one chunk of bump slack. A merge that
+  // sizes its slot by the sum of its inputs but frees it by the union's
+  // length strands a slot on every merge and breaks the bound.
+  constexpr std::uint32_t kIds = 48;
+  constexpr std::uint32_t kUniverse = 64;
+  Rng graph_rng(3);
+  Harness h(make_random_regular(1024, 6, graph_rng));
+  std::vector<NodeId> origins;
+  std::vector<WalkOrder> orders;
+  for (NodeId o = 0; o < 1024; o += 128) {
+    origins.push_back(o);
+    orders.push_back({o, 2048, 16});
+  }
+  h.engine.run_walk_stage(orders);
+  std::uint64_t proxy_rows = 0;
+  for (const NodeId o : origins) proxy_rows += h.engine.proxy_nodes(o).size();
+
+  const ProxyPayloadFn payload = [&](NodeId proxy, NodeId, std::uint64_t) {
+    ReplyPayload r;
+    r.proxy_nodes = 1;
+    for (std::uint32_t j = 0; j < kIds; ++j)
+      r.add_id(1 + (proxy + j) % kUniverse);
+    return r;
+  };
+  std::vector<std::uint64_t> pool_bytes;
+  for (int round = 0; round < 3; ++round) {
+    const auto events = h.pump(h.engine.begin_convergecast(origins, payload));
+    ASSERT_EQ(events.size(), origins.size());
+    for (const WalkEvent& ev : events)
+      EXPECT_EQ(ev.reply.ids.size(), kUniverse);
+    pool_bytes.push_back(h.engine.memory_bytes().id_pool);
+  }
+  for (const std::uint64_t bytes : pool_bytes)
+    EXPECT_EQ(bytes, pool_bytes.front()) << "pool grew across convergecasts";
+
+  const std::uint64_t slot_bytes =
+      std::bit_ceil(kUniverse) * sizeof(std::uint64_t);
+  const std::uint64_t chunk_bytes = (std::uint64_t{1} << 16) * 8;
+  EXPECT_LE(pool_bytes.back(), proxy_rows * slot_bytes + chunk_bytes)
+      << proxy_rows << " proxy rows";
 }
 
 TEST(WalkEngine, ProxyDistributionApproachesStationary) {

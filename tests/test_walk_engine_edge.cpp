@@ -163,5 +163,33 @@ TEST(WalkEngineEdge, TwoOriginsAtSameNode) {
   }
 }
 
+TEST(WalkEngineEdge, OneOrderPerOriginPerStage) {
+  // Level counters are bounded by one order's walk count, and the walks'
+  // injection point is (origin, length): a second order for the same origin
+  // in one stage would break both, so it is rejected before any state moves.
+  Harness h(make_ring(8));
+  h.engine.run_walk_stage({{2, 10, 3}});
+  EXPECT_THROW(h.engine.run_walk_stage({{2, 10, 3}, {5, 10, 3}, {2, 10, 4}}),
+               std::invalid_argument);
+  std::uint64_t total = 0;
+  for (const NodeId p : h.engine.proxy_nodes(2))
+    total += h.engine.registrations(p).at(2);
+  EXPECT_EQ(total, 10u);  // the earlier stage's trails are untouched
+}
+
+TEST(WalkEngineEdge, ProxyCountersAboveItsUnitsAreRejected) {
+  // A proxy counts at most once per walk it ends; that keeps every
+  // convergecast aggregate within the 32-bit walk count.
+  Harness h(make_ring(8));
+  h.engine.run_walk_stage({{0, 10, 2}});
+  const ProxyPayloadFn payload = [](NodeId, NodeId, std::uint64_t units) {
+    ReplyPayload r;
+    r.proxy_nodes = units + 1;
+    return r;
+  };
+  EXPECT_THROW(h.engine.begin_convergecast({0}, payload),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace wcle
