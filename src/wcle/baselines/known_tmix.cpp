@@ -50,28 +50,31 @@ KnownTmixResult run_known_tmix_election(const Graph& g,
 
   // One convergecast: each proxy reports the other contenders it serves.
   const ProxyPayloadFn payload = [&](NodeId proxy, NodeId origin,
-                                     std::uint64_t /*units*/) {
-    ReplyPayload p;
+                                     std::uint64_t /*units*/,
+                                     ReplyPayload& p) {
     p.proxy_nodes = 1;
     for (const auto& [x, cnt] : engine.registrations(proxy))
       if (x != origin) p.add_id(rid[x]);
-    return p;
   };
   std::vector<std::pair<NodeId, std::uint64_t>> adjacency_max;
-  auto react = [&](const std::vector<WalkEvent>& events) {
+  WalkEvents events;
+  auto react = [&]() {
     for (const WalkEvent& ev : events) {
       if (ev.kind != WalkEvent::Kind::kConvergecastDone) continue;
       // Crash-stop: a dead contender makes no leadership decision, even if
       // its convergecast completed locally (walks that stayed home).
       if (!net.node_up(ev.origin)) continue;
-      const std::uint64_t max_adj =
-          ev.reply.ids.empty() ? 0 : ev.reply.ids.back();
-      adjacency_max.emplace_back(ev.origin, max_adj);
+      const IdSpan ids = events.ids(ev);
+      adjacency_max.emplace_back(ev.origin, ids.empty() ? 0 : ids.back());
     }
+    events.clear();
   };
-  react(engine.begin_convergecast(res.contenders, payload));
-  net.run_until_idle(
-      [&](const Delivery& d) { react(engine.handle(d)); });
+  engine.begin_convergecast(res.contenders, payload, events);
+  react();
+  net.run_until_idle([&](const Delivery& d) {
+    engine.handle(d, events);
+    react();
+  });
 
   for (const auto& [v, max_adj] : adjacency_max)
     if (rid[v] > max_adj) res.leaders.push_back(v);

@@ -6,9 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "wcle/rw/walk_engine.hpp"
 #include "wcle/sim/network.hpp"
@@ -37,24 +35,33 @@ struct Contender {
 
 enum class Stage { kRound1, kRound2, kRound3, kWinner };
 
-void split_marks(const std::vector<std::uint64_t>& ids,
-                 std::vector<std::uint64_t>& plain,
+// The reactor's helpers run once per delivered event. Every output vector is
+// warm scratch or per-contender / per-proxy state that is cleared, not freed,
+// so once the first phase has sized them they no longer allocate.
+// wcle-lint: begin-no-alloc
+void split_marks(IdSpan ids, std::vector<std::uint64_t>& plain,
                  std::vector<std::uint64_t>& marks) {
   plain.clear();
   marks.clear();
   for (const std::uint64_t id : ids)
+    // wcle-lint: no-alloc-ok(reactor scratch; capacity kept across events)
     (id & kWinnerBit ? marks : plain).push_back(id);
 }
 
+/// dst = dst ∪ src for sorted id lists, built in `scratch` and copied back,
+/// so each buffer only grows to its own largest size.
 void sorted_union_into(std::vector<std::uint64_t>& dst,
-                       const std::vector<std::uint64_t>& src) {
-  std::vector<std::uint64_t> merged;
-  merged.reserve(dst.size() + src.size());
-  std::set_union(dst.begin(), dst.end(), src.begin(), src.end(),
-                 std::back_inserter(merged));
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  dst = std::move(merged);
+                       const std::vector<std::uint64_t>& src,
+                       std::vector<std::uint64_t>& scratch) {
+  // wcle-lint: no-alloc-ok(warm scratch; grows only to the largest I3 set)
+  scratch.resize(dst.size() + src.size());
+  auto last = std::set_union(dst.begin(), dst.end(), src.begin(), src.end(),
+                             scratch.begin());
+  last = std::unique(scratch.begin(), last);
+  // wcle-lint: no-alloc-ok(a proxy's I3 set; cleared, not freed, per phase)
+  dst.assign(scratch.begin(), last);
 }
+// wcle-lint: end-no-alloc
 
 }  // namespace
 
@@ -91,16 +98,21 @@ ElectionResult run_leader_election(const Graph& g,
   WalkEngine engine(g, net, walk_rng,
                     {params.lazy_walks, params.coalesce_tokens});
 
-  // Lookup-only contender table: iteration always runs over the sorted
-  // contender_nodes vector, never over the map, so hash order cannot reach
-  // the event order or any RNG draw.
-  std::unordered_map<NodeId, Contender> state;
-  for (const NodeId v : contender_nodes) {
-    Contender c;
-    c.node = v;
-    c.length = params.initial_length;
-    state.emplace(v, std::move(c));
+  // Dense contender table in contender_nodes order: slot_of[v] is v's index
+  // in `contenders`. Iteration runs over that sorted order, so no container
+  // order can reach the event order or any RNG draw.
+  constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  std::vector<std::uint32_t> slot_of(n, kNoSlot);
+  std::vector<Contender> contenders(contender_nodes.size());
+  for (std::size_t i = 0; i < contender_nodes.size(); ++i) {
+    slot_of[contender_nodes[i]] = static_cast<std::uint32_t>(i);
+    contenders[i].node = contender_nodes[i];
+    contenders[i].length = params.initial_length;
   }
+  const auto contender = [&](NodeId v) -> Contender& {
+    assert(slot_of[v] != kNoSlot);
+    return contenders[slot_of[v]];
+  };
 
   const std::uint64_t walks = params.walk_count(n);
   const std::uint64_t need_intersect = params.intersection_threshold(n);
@@ -110,90 +122,91 @@ ElectionResult run_leader_election(const Graph& g,
 
   std::vector<char> winner_at(n, 0);            // node-level winner knowledge
   std::vector<std::uint64_t> winner_mark_at(n, 0);
-  // Lookup-only (find/operator[] by proxy id, never iterated); the I3 sets
-  // it stores are kept sorted by sorted_union_into, so payload order is
-  // deterministic too.
-  std::unordered_map<NodeId, std::vector<std::uint64_t>> proxy_i3;
+  // Per-proxy I3 sets, kept sorted by sorted_union_into so payload order is
+  // deterministic. `i3_touched` lists the proxies holding one, so the
+  // per-phase reset clears those vectors (keeping their capacity) only.
+  std::vector<std::vector<std::uint64_t>> proxy_i3(n);
+  std::vector<NodeId> i3_touched;
+  std::vector<std::uint64_t> union_scratch;
 
   Stage stage = Stage::kRound1;
 
-  // Uniform event reactor: captures stage results and runs the winner cascade
-  // (steps 5-7 of Algorithm 2) in whatever stage a winner mark shows up.
-  std::function<void(std::vector<WalkEvent>)> process_events =
-      [&](std::vector<WalkEvent> initial) {
-        std::deque<WalkEvent> q(std::make_move_iterator(initial.begin()),
-                                std::make_move_iterator(initial.end()));
-        auto enqueue = [&](std::vector<WalkEvent> more) {
-          for (WalkEvent& e : more) q.push_back(std::move(e));
-        };
-        // Step 6: the first time any node learns of a winner it notifies
-        // every contender it is a proxy for (unicast up their trails).
-        auto node_learns_winner = [&](NodeId node,
-                                      const std::vector<std::uint64_t>& marks) {
-          if (winner_at[node]) return;
-          winner_at[node] = 1;
-          winner_mark_at[node] = marks.front();
-          std::vector<NodeId> origins;
-          for (const auto& [x, cnt] : engine.registrations(node))
-            origins.push_back(x);
-          std::sort(origins.begin(), origins.end());
-          for (const NodeId x : origins)
-            enqueue(engine.begin_unicast_up(node, x, marks));
-        };
-        // Step 7: the first time a contender learns of a winner it forwards
-        // the mark to all its proxies (and appends it to future messages).
-        auto contender_learns_winner =
-            [&](Contender& c, const std::vector<std::uint64_t>& marks) {
-              node_learns_winner(c.node, marks);
-              if (c.has_winner) return;
-              c.has_winner = true;
-              enqueue(engine.begin_flood_down(c.node, marks));
-            };
-
-        std::vector<std::uint64_t> plain, marks;
-        while (!q.empty()) {
-          WalkEvent ev = std::move(q.front());
-          q.pop_front();
-          // Crash-stop: a dead node takes no local steps. The transport
-          // already suppresses its traffic; this guard stops the *local*
-          // completions (e.g. a contender whose walks all stayed home).
-          if (!net.node_up(ev.node)) continue;
-          switch (ev.kind) {
-            case WalkEvent::Kind::kConvergecastDone: {
-              Contender& c = state.at(ev.origin);
-              split_marks(ev.reply.ids, plain, marks);
-              if (stage == Stage::kRound1) {
-                c.i2 = plain;
-                c.distinct = ev.reply.distinct_proxies;
-              } else if (stage == Stage::kRound3) {
-                c.i4 = plain;
-              }
-              if (!marks.empty()) contender_learns_winner(c, marks);
-              break;
-            }
-            case WalkEvent::Kind::kFloodAtProxy: {
-              split_marks(ev.ids, plain, marks);
-              if (stage == Stage::kRound2 && !plain.empty())
-                sorted_union_into(proxy_i3[ev.node], plain);
-              if (!marks.empty()) node_learns_winner(ev.node, marks);
-              break;
-            }
-            case WalkEvent::Kind::kUnicastAtOrigin: {
-              Contender& c = state.at(ev.origin);
-              split_marks(ev.ids, plain, marks);
-              if (!marks.empty()) contender_learns_winner(c, marks);
-              break;
-            }
-          }
-        }
+  // Uniform event reactor: one FIFO of walk events that every engine call
+  // appends to and drain() consumes by index, then clears. It captures stage
+  // results and runs the winner cascade (steps 5-7 of Algorithm 2) in
+  // whatever stage a winner mark shows up; the operations a reaction issues
+  // append their events to the tail, which the same drain reaches in order.
+  WalkEvents events;
+  std::vector<std::uint64_t> plain, marks;
+  // wcle-lint: begin-no-alloc
+  // Step 6: the first time any node learns of a winner it notifies every
+  // contender it is a proxy for (unicast up their trails, in origin order).
+  const auto node_learns_winner = [&](NodeId node,
+                                      const std::vector<std::uint64_t>& m) {
+    if (winner_at[node]) return;
+    winner_at[node] = 1;
+    winner_mark_at[node] = m.front();
+    for (const auto& [x, cnt] : engine.registrations(node))
+      engine.begin_unicast_up(node, x, m, events);
+  };
+  // Step 7: the first time a contender learns of a winner it forwards the
+  // mark to all its proxies (and appends it to future messages).
+  const auto contender_learns_winner =
+      [&](Contender& c, const std::vector<std::uint64_t>& m) {
+        node_learns_winner(c.node, m);
+        if (c.has_winner) return;
+        c.has_winner = true;
+        engine.begin_flood_down(c.node, m, events);
       };
 
-  auto pump_network = [&]() {
+  const auto drain = [&]() {
+    for (std::size_t head = 0; head < events.size(); ++head) {
+      // Copied out: the reactions below push into `events`, which moves its
+      // storage; split_marks copies the ids for the same reason.
+      const WalkEvent ev = events[head];
+      // Crash-stop: a dead node takes no local steps. The transport already
+      // suppresses its traffic; this guard stops the *local* completions
+      // (e.g. a contender whose walks all stayed home).
+      if (!net.node_up(ev.node)) continue;
+      split_marks(events.ids(ev), plain, marks);
+      switch (ev.kind) {
+        case WalkEvent::Kind::kConvergecastDone: {
+          Contender& c = contender(ev.origin);
+          if (stage == Stage::kRound1) {
+            c.i2 = plain;  // copy-assignment reuses c.i2's capacity
+            c.distinct = ev.distinct_proxies;
+          } else if (stage == Stage::kRound3) {
+            c.i4 = plain;
+          }
+          if (!marks.empty()) contender_learns_winner(c, marks);
+          break;
+        }
+        case WalkEvent::Kind::kFloodAtProxy:
+          if (stage == Stage::kRound2 && !plain.empty()) {
+            std::vector<std::uint64_t>& i3 = proxy_i3[ev.node];
+            if (i3.empty()) i3_touched.push_back(ev.node);
+            sorted_union_into(i3, plain, union_scratch);
+          }
+          if (!marks.empty()) node_learns_winner(ev.node, marks);
+          break;
+        case WalkEvent::Kind::kUnicastAtOrigin:
+          if (!marks.empty())
+            contender_learns_winner(contender(ev.origin), marks);
+          break;
+      }
+    }
+    events.clear();
+  };
+
+  const auto pump_network = [&]() {
+    // wcle-lint: no-alloc-transitive-ok(reaches only fault-event scratch)
     net.run_until_idle([&](const Delivery& d) {
       assert(WalkEngine::owns_tag(d.msg.tag));
-      process_events(engine.handle(d));
+      engine.handle(d, events);
+      drain();
     });
   };
+  // wcle-lint: end-no-alloc
 
   // Paper-schedule mode: idle-step the network to the sub-phase boundary
   // (messages are unaffected; only the clock advances, exactly as nodes
@@ -203,39 +216,38 @@ ElectionResult run_leader_election(const Graph& g,
     while (net.round() < absolute_round) net.step();
   };
 
-  // Round-1/Round-3 proxy payload builders.
+  // Round-1/Round-3 proxy payload builders; `p` arrives reset.
   const ProxyPayloadFn round1_payload = [&](NodeId proxy, NodeId origin,
-                                            std::uint64_t units) {
-    ReplyPayload p;
+                                            std::uint64_t units,
+                                            ReplyPayload& p) {
     p.proxy_nodes = 1;
     p.distinct_proxies = (units == 1) ? 1 : 0;
     for (const auto& [x, cnt] : engine.registrations(proxy))
       if (x != origin) p.add_id(rid[x]);
     if (winner_at[proxy]) p.add_id(winner_mark_at[proxy]);
-    return p;
   };
   const ProxyPayloadFn round3_payload = [&](NodeId proxy, NodeId /*origin*/,
-                                            std::uint64_t /*units*/) {
-    ReplyPayload p;
-    const auto it = proxy_i3.find(proxy);
-    if (it != proxy_i3.end()) p.ids = it->second;
+                                            std::uint64_t /*units*/,
+                                            ReplyPayload& p) {
+    p.ids = proxy_i3[proxy];
     if (winner_at[proxy]) p.add_id(winner_mark_at[proxy]);
-    return p;
   };
 
   std::uint64_t stopped_count = 0;
   bool any_active = true;
+  std::vector<NodeId> walkers, new_leaders;
+  std::vector<WalkOrder> orders;
+  std::vector<std::uint64_t> flood_ids;
   while (any_active && res.phases < params.max_phases) {
     res.phases += 1;
-    std::vector<NodeId> walkers;
+    walkers.clear();
     std::uint32_t phase_len = 0;
-    for (const NodeId v : contender_nodes) {
-      Contender& c = state.at(v);
+    for (Contender& c : contenders) {
       // Crash-stop: a dead contender leaves the race (it neither walks nor
       // decides; its proxies keep their registrations but nobody asks).
-      if (c.active && !net.node_up(v)) c.active = false;
+      if (c.active && !net.node_up(c.node)) c.active = false;
       if (c.active) {
-        walkers.push_back(v);
+        walkers.push_back(c.node);
         phase_len = std::max(phase_len, c.length);
       }
     }
@@ -247,49 +259,53 @@ ElectionResult run_leader_election(const Graph& g,
     net.note_phase("walk_phase", phase_len);
 
     // Walk stage: all active contenders run their parallel walks.
-    std::vector<WalkOrder> orders;
-    orders.reserve(walkers.size());
+    orders.clear();
     for (const NodeId v : walkers)
-      orders.push_back({v, walks, state.at(v).length});
+      orders.push_back({v, walks, contender(v).length});
     engine.run_walk_stage(orders);
     pad_to(phase_start + T);
 
     // Round 1: proxies report d and I1 back along the trails.
     stage = Stage::kRound1;
     for (const NodeId v : walkers) {
-      state.at(v).i2.clear();
-      state.at(v).i4.clear();
-      state.at(v).distinct = 0;
+      Contender& c = contender(v);
+      c.i2.clear();
+      c.i4.clear();
+      c.distinct = 0;
     }
-    proxy_i3.clear();
-    process_events(engine.begin_convergecast(walkers, round1_payload));
+    for (const NodeId v : i3_touched) proxy_i3[v].clear();
+    i3_touched.clear();
+    engine.begin_convergecast(walkers, round1_payload, events);
+    drain();
     pump_network();
     pad_to(phase_start + 2 * T);
 
     // Round 2: contenders flood I2 (plus their own id and any winner mark).
     stage = Stage::kRound2;
     for (const NodeId v : walkers) {
-      Contender& c = state.at(v);
-      std::vector<std::uint64_t> payload = c.i2;
-      payload.push_back(rid[v]);
-      std::sort(payload.begin(), payload.end());
-      if (c.has_winner) payload.push_back(winner_mark_at[v]);
-      process_events(engine.begin_flood_down(v, std::move(payload)));
+      const Contender& c = contender(v);
+      flood_ids.assign(c.i2.begin(), c.i2.end());
+      flood_ids.push_back(rid[v]);
+      std::sort(flood_ids.begin(), flood_ids.end());
+      if (c.has_winner) flood_ids.push_back(winner_mark_at[v]);
+      engine.begin_flood_down(v, flood_ids, events);
+      drain();
     }
     pump_network();
     pad_to(phase_start + 3 * T);
 
     // Round 3: proxies report I3 = union of received I2 sets.
     stage = Stage::kRound3;
-    process_events(engine.begin_convergecast(walkers, round3_payload));
+    engine.begin_convergecast(walkers, round3_payload, events);
+    drain();
     pump_network();
     pad_to(phase_start + 4 * T);
 
     // Stopping decision + winner rule (steps 4-5).
     stage = Stage::kWinner;
-    std::vector<NodeId> new_leaders;
+    new_leaders.clear();
     for (const NodeId v : walkers) {
-      Contender& c = state.at(v);
+      Contender& c = contender(v);
       if (!net.node_up(v)) {  // crashed mid-phase: no stopping decision
         c.active = false;
         continue;
@@ -318,12 +334,13 @@ ElectionResult run_leader_election(const Graph& g,
     // Winner stage: leaders notify proxies; cascade runs to quiescence
     // (the paper's 2T wait).
     for (const NodeId v : new_leaders) {
+      const std::uint64_t mark = rid[v] | kWinnerBit;
       winner_at[v] = 1;
-      winner_mark_at[v] = rid[v] | kWinnerBit;
-      state.at(v).has_winner = true;
+      winner_mark_at[v] = mark;
+      contender(v).has_winner = true;
       net.note_phase("winner_declared", v);
-      process_events(
-          engine.begin_flood_down(v, {rid[v] | kWinnerBit}));
+      engine.begin_flood_down(v, IdSpan(&mark, 1), events);
+      drain();
     }
     pump_network();
     pad_to(phase_start + 6 * T);  // the paper's 2T winner-propagation wait
@@ -338,15 +355,15 @@ ElectionResult run_leader_election(const Graph& g,
     res.scheduled_rounds += 6 * params.scheduled_T(n, phase_len);
 
     any_active = false;
-    for (const NodeId v : contender_nodes)
-      if (state.at(v).active) any_active = true;
+    for (const Contender& c : contenders)
+      if (c.active) any_active = true;
   }
   if (any_active) res.hit_phase_cap = true;
 
-  for (const NodeId v : contender_nodes) {
-    if (state.at(v).leader) {
-      res.leaders.push_back(v);
-      if (res.leader_random_id == 0) res.leader_random_id = rid[v];
+  for (const Contender& c : contenders) {
+    if (c.leader) {
+      res.leaders.push_back(c.node);
+      if (res.leader_random_id == 0) res.leader_random_id = rid[c.node];
     }
   }
   net.note_phase("election_done", res.leaders.size());

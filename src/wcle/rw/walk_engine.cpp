@@ -50,17 +50,6 @@ std::uint32_t union_size(const std::uint64_t* a, std::uint32_t na,
 
 }  // namespace
 
-void ReplyPayload::merge(const ReplyPayload& other) {
-  distinct_proxies += other.distinct_proxies;
-  proxy_nodes += other.proxy_nodes;
-  if (other.ids.empty()) return;
-  std::vector<std::uint64_t> merged;
-  merged.reserve(ids.size() + other.ids.size());
-  std::set_union(ids.begin(), ids.end(), other.ids.begin(), other.ids.end(),
-                 std::back_inserter(merged));
-  ids = std::move(merged);
-}
-
 void ReplyPayload::add_id(std::uint64_t id) {
   const auto it = std::lower_bound(ids.begin(), ids.end(), id);
   if (it == ids.end() || *it != id) ids.insert(it, id);
@@ -481,9 +470,39 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
   }
   return net_->round() - round0;
 }
-// wcle-lint: end-no-alloc
 
 // ------------------------------------------------------------ convergecast
+//
+// The delivery path: every reply-up, flood-down and unicast-up message runs
+// through handle() into credit(), flood_at() or unicast_at(), and every event
+// lands in the caller's WalkEvents. Id sets move through the rewound
+// WordPool and the transport's arena, and the event buffer, the credit stack
+// and the proxy payload keep their capacity, so once warm a delivery
+// allocates nothing.
+
+void WalkEvents::push(WalkEvent::Kind kind, NodeId node, NodeId origin,
+                      IdSpan ids, std::uint64_t distinct_proxies,
+                      std::uint64_t proxy_nodes) {
+  WalkEvent ev;
+  ev.kind = kind;
+  ev.node = node;
+  ev.origin = origin;
+  ev.ids_at = static_cast<std::uint32_t>(words_.size());
+  ev.ids_len = ids.size();
+  ev.distinct_proxies = distinct_proxies;
+  ev.proxy_nodes = proxy_nodes;
+  // wcle-lint: no-alloc-ok(caller-owned buffer; clear() keeps its capacity)
+  events_.push_back(ev);
+  // wcle-lint: no-alloc-ok(caller-owned buffer; clear() keeps its capacity)
+  words_.insert(words_.end(), ids.begin(), ids.end());
+}
+
+bool WalkEvents::holds(IdSpan ids) const noexcept {
+  if (ids.empty() || words_.empty()) return false;
+  const auto at = reinterpret_cast<std::uintptr_t>(ids.data());
+  const auto lo = reinterpret_cast<std::uintptr_t>(words_.data());
+  return at >= lo && at < lo + words_.size() * sizeof(std::uint64_t);
+}
 
 WalkEngine::PooledReply WalkEngine::intern_reply(const std::uint64_t* ids,
                                                  std::uint32_t len,
@@ -499,18 +518,6 @@ WalkEngine::PooledReply WalkEngine::intern_reply(const std::uint64_t* ids,
                 std::size_t{len} * sizeof(std::uint64_t));
   }
   return r;
-}
-
-ReplyPayload WalkEngine::materialize(PooledReply& r) {
-  ReplyPayload out;
-  out.distinct_proxies = r.distinct_proxies;
-  out.proxy_nodes = r.proxy_nodes;
-  if (r.len > 0) {
-    const std::uint64_t* d = cc_pool_.data(r.ids);
-    out.ids.assign(d, d + r.len);
-  }
-  free_reply(r);
-  return out;
 }
 
 void WalkEngine::free_reply(PooledReply& r) {
@@ -546,17 +553,21 @@ void WalkEngine::merge_reply(PooledReply& into, PooledReply& from) {
   from.len = 0;
 }
 
-std::vector<WalkEvent> WalkEngine::begin_convergecast(
-    const std::vector<NodeId>& origins, const ProxyPayloadFn& at_proxy) {
+void WalkEngine::begin_convergecast(const std::vector<NodeId>& origins,
+                                    const ProxyPayloadFn& at_proxy,
+                                    WalkEvents& out) {
   cc_gen_ += 1;        // invalidates every level's embedded convergecast state
   cc_pool_.rewind();   // every outstanding id-set handle died with it
-  std::vector<WalkEvent> events;
+  ReplyPayload& payload = proxy_payload_;
   for (const NodeId origin : origins) {
     for (const NodeId proxy : proxy_nodes(origin)) {
       const RegistrationView regs = registrations(proxy);
       const auto it = regs.find(origin);
       assert(it != regs.end());
-      ReplyPayload payload = at_proxy(proxy, origin, it->second);
+      payload.distinct_proxies = 0;
+      payload.proxy_nodes = 0;
+      payload.ids.clear();
+      at_proxy(proxy, origin, it->second, payload);
       // Each proxy counts at most once per walk it ends, so every aggregate
       // stays within the origin's 32-bit walk count.
       if (payload.distinct_proxies > it->second ||
@@ -569,15 +580,14 @@ std::vector<WalkEvent> WalkEngine::begin_convergecast(
           static_cast<std::uint32_t>(payload.proxy_nodes));
       // Seed distribution from the trail's terminal level.
       credit(proxy, origin, 0, static_cast<std::uint32_t>(it->second), pooled,
-             events);
+             out);
     }
   }
-  return events;
 }
 
 void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
                         std::uint32_t units, PooledReply payload,
-                        std::vector<WalkEvent>& events) {
+                        WalkEvents& out) {
   OriginState* osp = find_origin(origin);
   assert(osp != nullptr);
   OriginState& os = *osp;
@@ -591,6 +601,7 @@ void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
       lv.cc = PooledReply{};
     }
   }
+  // wcle-lint: no-alloc-ok(engine-owned work stack; warm after one cascade)
   cc_stack_.push_back({node, r, units, payload});
 
   while (!cc_stack_.empty()) {
@@ -617,6 +628,7 @@ void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
     // travels with the first parent, the rest carry unit counts only.
     bool first = true;
     if (lv.stay_in > 0) {
+      // wcle-lint: no-alloc-ok(engine-owned work stack; warm after one cascade)
       cc_stack_.push_back({w.node, w.r + 1, lv.stay_in, agg});
       agg = PooledReply{};  // ownership moved to the stack entry
       first = false;
@@ -638,15 +650,17 @@ void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
       if (carried) free_reply(agg);  // send() copied the ids into its arena
     }
     if (w.node == os.node && w.r == os.length) {  // the walks' injection point
-      WalkEvent ev;
-      ev.kind = WalkEvent::Kind::kConvergecastDone;
-      ev.node = w.node;
-      ev.origin = origin;
+      // Only the first parent-less completion carries the aggregate; its ids
+      // go straight from the pool into the caller's buffer.
+      IdSpan ids;
+      std::uint64_t distinct = 0, proxies = 0;
       if (first) {
-        ev.reply = materialize(agg);
-        first = false;
+        if (agg.len > 0) ids = IdSpan(cc_pool_.data(agg.ids), agg.len);
+        distinct = agg.distinct_proxies;
+        proxies = agg.proxy_nodes;
       }
-      events.push_back(std::move(ev));
+      out.push(WalkEvent::Kind::kConvergecastDone, w.node, origin, ids,
+               distinct, proxies);
     }
     free_reply(agg);  // no-op unless no parent consumed the aggregate
   }
@@ -654,19 +668,18 @@ void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
 
 // ------------------------------------------------------- flood and unicast
 
-std::vector<WalkEvent> WalkEngine::begin_flood_down(
-    NodeId origin, std::vector<std::uint64_t> ids) {
-  std::vector<WalkEvent> events;
+void WalkEngine::begin_flood_down(NodeId origin, IdSpan ids, WalkEvents& out) {
+  if (out.holds(ids))
+    throw std::invalid_argument(
+        "begin_flood_down: ids must not view the event buffer appended to");
   OriginState* os = find_origin(origin);
-  if (os == nullptr || os->length == 0) return events;
+  if (os == nullptr || os->length == 0) return;
   const std::uint32_t gen = ++os->flood_gen;
-  flood_at(origin, origin, os->length, gen, IdSpan(ids), events);
-  return events;
+  flood_at(origin, origin, os->length, gen, ids, out);
 }
 
 void WalkEngine::flood_at(NodeId node, NodeId origin, std::uint32_t r,
-                          std::uint32_t gen, IdSpan ids,
-                          std::vector<WalkEvent>& events) {
+                          std::uint32_t gen, IdSpan ids, WalkEvents& out) {
   OriginState* osp = find_origin(origin);
   if (osp == nullptr) return;  // stale message for a never-walked origin
   OriginState& os = *osp;
@@ -677,14 +690,8 @@ void WalkEngine::flood_at(NodeId node, NodeId origin, std::uint32_t r,
     if (lv.flood_seen == gen) return;
     lv.flood_seen = gen;
     if (level == 0) {
-      if (lv.units > 0) {
-        WalkEvent ev;
-        ev.kind = WalkEvent::Kind::kFloodAtProxy;
-        ev.node = node;
-        ev.origin = origin;
-        ev.ids = ids.to_vector();
-        events.push_back(std::move(ev));
-      }
+      if (lv.units > 0)
+        out.push(WalkEvent::Kind::kFloodAtProxy, node, origin, ids);
       return;
     }
     for (std::uint32_t e = lv.out_head; e != kNil; e = os.out_arena[e].next) {
@@ -704,16 +711,16 @@ void WalkEngine::flood_at(NodeId node, NodeId origin, std::uint32_t r,
   }
 }
 
-std::vector<WalkEvent> WalkEngine::begin_unicast_up(
-    NodeId node, NodeId origin, std::vector<std::uint64_t> ids) {
-  std::vector<WalkEvent> events;
-  unicast_at(node, origin, 0, std::move(ids), events);
-  return events;
+void WalkEngine::begin_unicast_up(NodeId node, NodeId origin, IdSpan ids,
+                                  WalkEvents& out) {
+  if (out.holds(ids))
+    throw std::invalid_argument(
+        "begin_unicast_up: ids must not view the event buffer appended to");
+  unicast_at(node, origin, 0, ids, out);
 }
 
 void WalkEngine::unicast_at(NodeId node, NodeId origin, std::uint32_t r,
-                            std::vector<std::uint64_t> ids,
-                            std::vector<WalkEvent>& events) {
+                            IdSpan ids, WalkEvents& out) {
   OriginState* osp = find_origin(origin);
   if (osp == nullptr) return;  // stale trail; drop
   OriginState& os = *osp;
@@ -721,12 +728,7 @@ void WalkEngine::unicast_at(NodeId node, NodeId origin, std::uint32_t r,
     const std::uint32_t li = find_level(os, node, level);
     if (li == kNil) return;  // stale trail; drop
     if (node == os.node && level == os.length) {  // the injection point
-      WalkEvent ev;
-      ev.kind = WalkEvent::Kind::kUnicastAtOrigin;
-      ev.node = node;
-      ev.origin = origin;
-      ev.ids = std::move(ids);
-      events.push_back(std::move(ev));
+      out.push(WalkEvent::Kind::kUnicastAtOrigin, node, origin, ids);
       return;
     }
     const Level& lv = os.levels[li];
@@ -736,7 +738,7 @@ void WalkEngine::unicast_at(NodeId node, NodeId origin, std::uint32_t r,
       msg.tag = kTagUnicastUp;
       msg.a = origin;
       msg.b = level + 1;
-      msg.ids = IdSpan(ids);
+      msg.ids = ids;  // forwarded as a view; send() copies into the arena
       msg.bits = payload_bits(ids.size());
       net_->send(node, os.in_arena[lv.in_head].port, msg);
     }
@@ -744,8 +746,7 @@ void WalkEngine::unicast_at(NodeId node, NodeId origin, std::uint32_t r,
   }
 }
 
-std::vector<WalkEvent> WalkEngine::handle(const Delivery& d) {
-  std::vector<WalkEvent> events;
+void WalkEngine::handle(const Delivery& d, WalkEvents& out) {
   switch (d.msg.tag) {
     case kTagReplyUp: {
       const PooledReply payload = intern_reply(
@@ -754,31 +755,31 @@ std::vector<WalkEvent> WalkEngine::handle(const Delivery& d) {
           static_cast<std::uint32_t>(d.msg.d));
       credit(d.dst, static_cast<NodeId>(d.msg.a),
              static_cast<std::uint32_t>(d.msg.b),
-             static_cast<std::uint32_t>(d.msg.c), payload, events);
+             static_cast<std::uint32_t>(d.msg.c), payload, out);
       break;
     }
     case kTagFloodDown:
       flood_at(d.dst, static_cast<NodeId>(d.msg.a),
                static_cast<std::uint32_t>(d.msg.b),
-               static_cast<std::uint32_t>(d.msg.c), d.msg.ids, events);
+               static_cast<std::uint32_t>(d.msg.c), d.msg.ids, out);
       break;
     case kTagUnicastUp:
       unicast_at(d.dst, static_cast<NodeId>(d.msg.a),
-                 static_cast<std::uint32_t>(d.msg.b), d.msg.ids.to_vector(),
-                 events);
+                 static_cast<std::uint32_t>(d.msg.b), d.msg.ids, out);
       break;
     default:
       assert(false && "WalkEngine::handle: unexpected tag");
   }
-  return events;
 }
+// wcle-lint: end-no-alloc
 
 WalkEngine::MemoryBytes WalkEngine::memory_bytes() const noexcept {
   MemoryBytes m;
   m.trails = origins_.capacity() * sizeof(OriginState) +
              origin_index_.capacity() * sizeof(std::uint32_t) +
              registrations_.capacity() * sizeof(registrations_[0]) +
-             cc_stack_.capacity() * sizeof(CreditWork);
+             cc_stack_.capacity() * sizeof(CreditWork) +
+             proxy_payload_.ids.capacity() * sizeof(std::uint64_t);
   for (const OriginState& os : origins_) {
     m.trails += os.levels.capacity() * sizeof(Level) +
                 os.index.capacity() * sizeof(std::uint32_t) +

@@ -39,6 +39,14 @@
 // contiguous node ranges and the sort key leads with the node). After the
 // first phase the engine performs no steady-state allocation.
 //
+// Events: handle() and the begin_* operations append what they complete to a
+// caller-owned WalkEvents buffer, in FIFO order — plain events plus one word
+// array for their ids, both reused across clear(). An ids(ev) view lives until
+// the next push or clear(), so a caller that reacts to an event by issuing
+// another operation copies the ids out first (begin_flood_down and
+// begin_unicast_up reject a view into the buffer they append to). A caller
+// draining by index sees cascaded events join the tail, a plain FIFO.
+//
 // Footprint at the end of one n = 65,536 expander election (graph seed 1,
 // run seed 2: 57 origins, 816,892 level rows), allocated bytes, before
 // (chunked node->slot maps, per-slot level arrays, SoA columns) and now:
@@ -80,41 +88,77 @@ struct WalkOrder {
   std::uint32_t length = 0;
 };
 
-/// Aggregate carried by convergecast replies (Rounds 1 and 3 of Algorithm 2).
-/// Sums are partitioned exactly over the trail DAG (each proxy contributes
-/// once); id sets are unions. This is the *materialized* form protocols see
-/// (events, the at_proxy callback); in flight the engine keeps the id set in
-/// its WordPool and only builds the vector at the API boundary.
+/// Aggregate a proxy reports in a convergecast (Rounds 1 and 3 of
+/// Algorithm 2). Sums are partitioned exactly over the trail DAG (each proxy
+/// contributes once); id sets are unions. ProxyPayloadFn fills one
+/// engine-owned instance per proxy, so `ids` keeps its capacity across calls;
+/// in flight the engine keeps the id set in its WordPool instead.
 struct ReplyPayload {
   std::uint64_t distinct_proxies = 0; ///< sum of the per-proxy booleans d
   std::uint64_t proxy_nodes = 0;      ///< distinct proxy nodes covered
   std::vector<std::uint64_t> ids;     ///< union of id sets (sorted, unique)
 
-  void merge(const ReplyPayload& other);
   void add_id(std::uint64_t id);
 };
 
 /// High-level events surfaced by the engine while the protocol pumps the
 /// network loop. The protocol reacts (possibly issuing new engine operations,
-/// e.g. cascading winner notifications) and keeps pumping until idle.
+/// e.g. cascading winner notifications) and keeps pumping until idle. Plain
+/// data: the event's ids live in the WalkEvents buffer that holds it.
 struct WalkEvent {
   enum class Kind {
-    kConvergecastDone,  ///< `origin`'s aggregation finished; see `reply`
+    kConvergecastDone,  ///< `origin`'s aggregation finished
     kFloodAtProxy,      ///< flood from `origin` reached proxy `node`
     kUnicastAtOrigin,   ///< unicast-up along `origin`'s trail reached it
   };
   Kind kind = Kind::kConvergecastDone;
   NodeId node = 0;    ///< proxy node (kFloodAtProxy) or origin node (others)
   NodeId origin = 0;  ///< origin owning the trail the message travelled on
-  std::vector<std::uint64_t> ids;  ///< payload ids (flood / unicast)
-  ReplyPayload reply;              ///< payload (kConvergecastDone)
+  std::uint32_t ids_at = 0;   ///< first id in the buffer's word array
+  std::uint32_t ids_len = 0;  ///< payload ids (reply union, flood, unicast)
+  /// kConvergecastDone only: the reply's counters (see ReplyPayload).
+  std::uint64_t distinct_proxies = 0;
+  std::uint64_t proxy_nodes = 0;
+};
+
+/// Caller-owned FIFO of walk events: plain events plus one word array holding
+/// all their ids; clear() keeps both capacities. An ids(ev) view lives until
+/// the next push or clear() (see the file comment for the full contract).
+class WalkEvents {
+ public:
+  void push(WalkEvent::Kind kind, NodeId node, NodeId origin, IdSpan ids,
+            std::uint64_t distinct_proxies = 0,
+            std::uint64_t proxy_nodes = 0);
+  void clear() noexcept {
+    events_.clear();
+    words_.clear();
+  }
+
+  std::size_t size() const noexcept { return events_.size(); }
+  bool empty() const noexcept { return events_.empty(); }
+  const WalkEvent& operator[](std::size_t i) const { return events_[i]; }
+  const WalkEvent* begin() const noexcept { return events_.data(); }
+  const WalkEvent* end() const noexcept {
+    return events_.data() + events_.size();
+  }
+
+  IdSpan ids(const WalkEvent& ev) const noexcept {
+    return IdSpan(words_.data() + ev.ids_at, ev.ids_len);
+  }
+  /// True if `ids` views this buffer's word array (a push may move it).
+  bool holds(IdSpan ids) const noexcept;
+
+ private:
+  std::vector<WalkEvent> events_;
+  std::vector<std::uint64_t> words_;
 };
 
 /// Builds a proxy's Round-1 payload: called once per (proxy node, origin)
-/// holding `units` walk endpoints there. Typically fills ids with the random
-/// ids of the *other* contenders registered at the proxy (the set I1).
-using ProxyPayloadFn = std::function<ReplyPayload(
-    NodeId proxy, NodeId origin, std::uint64_t units)>;
+/// holding `units` walk endpoints there, with `out` reset (zero counters,
+/// empty ids). Typically fills ids with the random ids of the *other*
+/// contenders registered at the proxy (the set I1).
+using ProxyPayloadFn = std::function<void(
+    NodeId proxy, NodeId origin, std::uint64_t units, ReplyPayload& out)>;
 
 /// Ablation switches (each ablation is named in tests/test_ablations.cpp).
 /// Defaults reproduce the paper.
@@ -233,31 +277,33 @@ class WalkEngine {
   /// Begins a convergecast for every origin in `origins`: each of its proxies
   /// produces a payload via `at_proxy`, aggregates flow back along the trails
   /// with exact unit accounting (sums are partitioned over parents; id sets
-  /// are unioned). Returns events completed without network traffic; the rest
-  /// surface via handle(). Resets any previous convergecast state.
-  std::vector<WalkEvent> begin_convergecast(const std::vector<NodeId>& origins,
-                                            const ProxyPayloadFn& at_proxy);
+  /// are unioned). Appends events completed without network traffic to
+  /// `out`; the rest surface via handle(). Resets any previous convergecast
+  /// state.
+  void begin_convergecast(const std::vector<NodeId>& origins,
+                          const ProxyPayloadFn& at_proxy, WalkEvents& out);
 
   /// Begins flooding `ids` from `origin` down its trails toward its proxies
   /// (Round 2 / winner dissemination). Each begin_flood_down is a fresh
   /// "generation": it traverses every trail level exactly once, independent
-  /// of earlier floods of the same origin. Returns locally-completed events.
-  std::vector<WalkEvent> begin_flood_down(NodeId origin,
-                                          std::vector<std::uint64_t> ids);
+  /// of earlier floods of the same origin. Appends locally-completed events.
+  /// Throws std::invalid_argument if `ids` views `out`'s own storage.
+  void begin_flood_down(NodeId origin, IdSpan ids, WalkEvents& out);
 
   /// Routes `ids` from proxy `node` up a single path of `origin`'s trail to
-  /// the origin (winner forwarding from a proxy to a contender).
-  std::vector<WalkEvent> begin_unicast_up(NodeId node, NodeId origin,
-                                          std::vector<std::uint64_t> ids);
+  /// the origin (winner forwarding from a proxy to a contender). Throws
+  /// std::invalid_argument if `ids` views `out`'s own storage.
+  void begin_unicast_up(NodeId node, NodeId origin, IdSpan ids,
+                        WalkEvents& out);
 
   /// True if `msg.tag` belongs to the walk engine.
   static bool owns_tag(std::uint8_t tag) {
     return tag >= kTagWalkToken && tag <= kTagUnicastUp;
   }
 
-  /// Processes one delivery of an engine-owned message, returning any events
-  /// it completes. Must be called for every such delivery.
-  std::vector<WalkEvent> handle(const Delivery& d);
+  /// Processes one delivery of an engine-owned message, appending any events
+  /// it completes to `out`. Must be called for every such delivery.
+  void handle(const Delivery& d, WalkEvents& out);
 
   /// Heap footprint of the engine, in the style of Graph::memory_bytes():
   /// capacities, not sizes.
@@ -273,8 +319,8 @@ class WalkEngine {
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
   /// In-flight convergecast aggregate: the counters plus the id set as a
-  /// WordPool (handle, len). The engine's internal currency; materialized
-  /// into a ReplyPayload only at the protocol boundary.
+  /// WordPool (handle, len). The engine's internal currency; a completed
+  /// aggregate's ids are copied straight into the caller's event buffer.
   struct PooledReply {
     std::uint32_t distinct_proxies = 0;
     std::uint32_t proxy_nodes = 0;
@@ -361,10 +407,9 @@ class WalkEngine {
   void note_arrival(OriginState& os, std::uint32_t lv, Port port,
                     std::uint32_t count);
 
-  /// Convergecast plumbing between the pooled and materialized forms.
+  /// Convergecast plumbing: copies an id set into the pool, and releases it.
   PooledReply intern_reply(const std::uint64_t* ids, std::uint32_t len,
                            std::uint32_t distinct, std::uint32_t proxies);
-  ReplyPayload materialize(PooledReply& r);  ///< frees r's pooled buffer
   void free_reply(PooledReply& r);
   /// Folds `from` into `into` (sorted set-union of the id buffers, counter
   /// sums); both source buffers are recycled.
@@ -373,18 +418,17 @@ class WalkEngine {
   /// Convergecast helper: credits `units`/`payload` to (node, origin, r) and
   /// cascades completions (locally through stay-links, remotely via sends).
   void credit(NodeId node, NodeId origin, std::uint32_t r, std::uint32_t units,
-              PooledReply payload, std::vector<WalkEvent>& events);
+              PooledReply payload, WalkEvents& out);
 
   /// Flood helper: processes payload at (node, origin, r) cascading locally
   /// through stay-links and remotely via out_ports. `gen` identifies the
   /// flood generation for deduplication.
   void flood_at(NodeId node, NodeId origin, std::uint32_t r, std::uint32_t gen,
-                IdSpan ids, std::vector<WalkEvent>& events);
+                IdSpan ids, WalkEvents& out);
 
   /// Unicast helper: advances toward the origin from (node, origin, r).
-  void unicast_at(NodeId node, NodeId origin, std::uint32_t r,
-                  std::vector<std::uint64_t> ids,
-                  std::vector<WalkEvent>& events);
+  void unicast_at(NodeId node, NodeId origin, std::uint32_t r, IdSpan ids,
+                  WalkEvents& out);
 
   std::uint32_t token_bits(std::uint32_t remaining) const;
   std::uint32_t payload_bits(std::size_t id_count) const;
@@ -413,6 +457,8 @@ class WalkEngine {
     PooledReply payload;
   };
   std::vector<CreditWork> cc_stack_;
+  /// begin_convergecast's scratch payload, handed to every ProxyPayloadFn.
+  ReplyPayload proxy_payload_;
 
   /// Walk-stage scratch: one token bucket per transport shard, sorted in
   /// parallel via Network::run_on_shards.

@@ -115,11 +115,9 @@ TEST_P(WalkConservationProperty, UnitsConservedAndTrailsRoutable) {
   // Every proxy can route a unicast back to the origin.
   for (const NodeId p : engine.proxy_nodes(origin)) {
     bool reached = false;
-    auto events = engine.begin_unicast_up(p, origin, {1});
-    net.run_until_idle([&](const Delivery& d) {
-      for (const WalkEvent& ev : engine.handle(d))
-        if (ev.kind == WalkEvent::Kind::kUnicastAtOrigin) reached = true;
-    });
+    WalkEvents events;
+    engine.begin_unicast_up(p, origin, std::vector<std::uint64_t>{1}, events);
+    net.run_until_idle([&](const Delivery& d) { engine.handle(d, events); });
     for (const WalkEvent& ev : events)
       if (ev.kind == WalkEvent::Kind::kUnicastAtOrigin) reached = true;
     EXPECT_TRUE(reached) << "proxy " << p;

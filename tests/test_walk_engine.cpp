@@ -2,16 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <set>
 
+#include "wcle/core/leader_election.hpp"
+#include "wcle/graph/families.hpp"
 #include "wcle/graph/generators.hpp"
 #include "wcle/sim/network.hpp"
 
+// Allocation counter for the zero-allocation tests: this executable replaces
+// the global operator new/delete with a pair that counts and forwards to
+// malloc/free, so sanitizer builds still track every block.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace wcle {
 namespace {
+
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 struct Harness {
   Graph g;
@@ -25,13 +52,28 @@ struct Harness {
         rng(seed),
         engine(g, net, rng) {}
 
-  /// Pumps the network to idle, collecting all surfaced events.
-  std::vector<WalkEvent> pump(std::vector<WalkEvent> initial = {}) {
-    std::vector<WalkEvent> all = std::move(initial);
-    net.run_until_idle([&](const Delivery& d) {
-      for (WalkEvent& ev : engine.handle(d)) all.push_back(std::move(ev));
-    });
+  /// Pumps the network to idle, collecting all surfaced events after the
+  /// ones the operation completed locally.
+  WalkEvents pump(WalkEvents all) {
+    net.run_until_idle([&](const Delivery& d) { engine.handle(d, all); });
     return all;
+  }
+  WalkEvents convergecast(const std::vector<NodeId>& origins,
+                          const ProxyPayloadFn& payload) {
+    WalkEvents out;
+    engine.begin_convergecast(origins, payload, out);
+    return pump(std::move(out));
+  }
+  WalkEvents flood(NodeId origin, const std::vector<std::uint64_t>& ids) {
+    WalkEvents out;
+    engine.begin_flood_down(origin, ids, out);
+    return pump(std::move(out));
+  }
+  WalkEvents unicast(NodeId node, NodeId origin,
+                     const std::vector<std::uint64_t>& ids) {
+    WalkEvents out;
+    engine.begin_unicast_up(node, origin, ids, out);
+    return pump(std::move(out));
   }
 
   std::uint64_t total_registered(NodeId origin) {
@@ -111,47 +153,43 @@ TEST(WalkEngine, ConvergecastCountsProxiesExactly) {
   for (const NodeId p : h.engine.proxy_nodes(5))
     if (h.engine.registrations(p).at(5) == 1) ++expect_distinct;
 
-  const ProxyPayloadFn payload = [&](NodeId, NodeId, std::uint64_t units) {
-    ReplyPayload r;
+  const ProxyPayloadFn payload = [&](NodeId, NodeId, std::uint64_t units,
+                                     ReplyPayload& r) {
     r.proxy_nodes = 1;
     r.distinct_proxies = (units == 1) ? 1 : 0;
-    return r;
   };
-  auto events = h.pump(h.engine.begin_convergecast({5}, payload));
+  auto events = h.convergecast({5}, payload);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, WalkEvent::Kind::kConvergecastDone);
   EXPECT_EQ(events[0].origin, 5u);
-  EXPECT_EQ(events[0].reply.proxy_nodes, expect_nodes);
-  EXPECT_EQ(events[0].reply.distinct_proxies, expect_distinct);
+  EXPECT_EQ(events[0].proxy_nodes, expect_nodes);
+  EXPECT_EQ(events[0].distinct_proxies, expect_distinct);
 }
 
 TEST(WalkEngine, ConvergecastUnionsIds) {
   Harness h(make_clique(10));
   h.engine.run_walk_stage({{0, 30, 3}});
   const ProxyPayloadFn payload = [&](NodeId proxy, NodeId,
-                                     std::uint64_t) {
-    ReplyPayload r;
+                                     std::uint64_t, ReplyPayload& r) {
     r.add_id(1000 + proxy);  // unique per proxy
-    return r;
   };
-  auto events = h.pump(h.engine.begin_convergecast({0}, payload));
+  auto events = h.convergecast({0}, payload);
   ASSERT_EQ(events.size(), 1u);
   std::set<std::uint64_t> expect;
   for (const NodeId p : h.engine.proxy_nodes(0)) expect.insert(1000 + p);
-  const std::set<std::uint64_t> got(events[0].reply.ids.begin(),
-                                    events[0].reply.ids.end());
+  const IdSpan ids = events.ids(events[0]);
+  const std::set<std::uint64_t> got(ids.begin(), ids.end());
   EXPECT_EQ(got, expect);
 }
 
 TEST(WalkEngine, ConvergecastForAllOriginsAtOnce) {
   Harness h(make_hypercube(4));
   h.engine.run_walk_stage({{0, 25, 3}, {7, 25, 3}, {12, 25, 3}});
-  const ProxyPayloadFn payload = [&](NodeId, NodeId, std::uint64_t) {
-    ReplyPayload r;
+  const ProxyPayloadFn payload = [&](NodeId, NodeId, std::uint64_t,
+                                     ReplyPayload& r) {
     r.proxy_nodes = 1;
-    return r;
   };
-  auto events = h.pump(h.engine.begin_convergecast({0, 7, 12}, payload));
+  auto events = h.convergecast({0, 7, 12}, payload);
   EXPECT_EQ(events.size(), 3u);
   std::set<NodeId> origins;
   for (const auto& ev : events) origins.insert(ev.origin);
@@ -161,13 +199,13 @@ TEST(WalkEngine, ConvergecastForAllOriginsAtOnce) {
 TEST(WalkEngine, FloodReachesEveryProxy) {
   Harness h(make_torus(5, 5));
   h.engine.run_walk_stage({{4, 48, 6}});
-  auto events = h.pump(h.engine.begin_flood_down(4, {99}));
+  auto events = h.flood(4, {99});
   std::set<NodeId> reached;
   for (const auto& ev : events) {
     EXPECT_EQ(ev.kind, WalkEvent::Kind::kFloodAtProxy);
     EXPECT_EQ(ev.origin, 4u);
-    ASSERT_EQ(ev.ids.size(), 1u);
-    EXPECT_EQ(ev.ids[0], 99u);
+    ASSERT_EQ(events.ids(ev).size(), 1u);
+    EXPECT_EQ(events.ids(ev)[0], 99u);
     reached.insert(ev.node);
   }
   const std::set<NodeId> expect(h.engine.proxy_nodes(4).begin(),
@@ -178,11 +216,11 @@ TEST(WalkEngine, FloodReachesEveryProxy) {
 TEST(WalkEngine, SecondFloodGenerationTraversesAgain) {
   Harness h(make_clique(8));
   h.engine.run_walk_stage({{1, 20, 2}});
-  const auto first = h.pump(h.engine.begin_flood_down(1, {7}));
-  const auto second = h.pump(h.engine.begin_flood_down(1, {8}));
+  const auto first = h.flood(1, {7});
+  const auto second = h.flood(1, {8});
   EXPECT_EQ(first.size(), second.size());
   ASSERT_FALSE(second.empty());
-  EXPECT_EQ(second[0].ids[0], 8u);
+  EXPECT_EQ(second.ids(second[0])[0], 8u);
 }
 
 TEST(WalkEngine, UnicastReachesOrigin) {
@@ -190,19 +228,20 @@ TEST(WalkEngine, UnicastReachesOrigin) {
   h.engine.run_walk_stage({{11, 32, 5}});
   ASSERT_FALSE(h.engine.proxy_nodes(11).empty());
   const NodeId some_proxy = h.engine.proxy_nodes(11).front();
-  auto events = h.pump(h.engine.begin_unicast_up(some_proxy, 11, {123}));
+  auto events = h.unicast(some_proxy, 11, {123});
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, WalkEvent::Kind::kUnicastAtOrigin);
   EXPECT_EQ(events[0].node, 11u);
   EXPECT_EQ(events[0].origin, 11u);
-  EXPECT_EQ(events[0].ids, (std::vector<std::uint64_t>{123}));
+  EXPECT_EQ(events.ids(events[0]).to_vector(),
+            (std::vector<std::uint64_t>{123}));
 }
 
 TEST(WalkEngine, UnicastFromEveryProxyWorks) {
   Harness h(make_hypercube(4));
   h.engine.run_walk_stage({{6, 40, 4}});
   for (const NodeId p : h.engine.proxy_nodes(6)) {
-    auto events = h.pump(h.engine.begin_unicast_up(p, 6, {1}));
+    auto events = h.unicast(p, 6, {1});
     ASSERT_EQ(events.size(), 1u) << "proxy " << p;
     EXPECT_EQ(events[0].node, 6u);
   }
@@ -274,19 +313,18 @@ TEST(WalkEngine, IdPoolStaysWithinLiveRowsTimesPayload) {
   std::uint64_t proxy_rows = 0;
   for (const NodeId o : origins) proxy_rows += h.engine.proxy_nodes(o).size();
 
-  const ProxyPayloadFn payload = [&](NodeId proxy, NodeId, std::uint64_t) {
-    ReplyPayload r;
+  const ProxyPayloadFn payload = [&](NodeId proxy, NodeId, std::uint64_t,
+                                     ReplyPayload& r) {
     r.proxy_nodes = 1;
     for (std::uint32_t j = 0; j < kIds; ++j)
       r.add_id(1 + (proxy + j) % kUniverse);
-    return r;
   };
   std::vector<std::uint64_t> pool_bytes;
   for (int round = 0; round < 3; ++round) {
-    const auto events = h.pump(h.engine.begin_convergecast(origins, payload));
+    const auto events = h.convergecast(origins, payload);
     ASSERT_EQ(events.size(), origins.size());
     for (const WalkEvent& ev : events)
-      EXPECT_EQ(ev.reply.ids.size(), kUniverse);
+      EXPECT_EQ(events.ids(ev).size(), kUniverse);
     pool_bytes.push_back(h.engine.memory_bytes().id_pool);
   }
   for (const std::uint64_t bytes : pool_bytes)
@@ -311,6 +349,92 @@ TEST(WalkEngine, ProxyDistributionApproachesStationary) {
     const auto it = regs.find(0);
     const double got = it == regs.end() ? 0.0 : static_cast<double>(it->second);
     EXPECT_NEAR(got, expect, 6 * std::sqrt(expect)) << "node " << v;
+  }
+}
+
+TEST(WalkEngineAlloc, SteadyDeliveryCycleMakesNoAllocations) {
+  // One cycle runs the three delivery paths Algorithm 2 uses after its walk
+  // stage: a convergecast with id sets, a flood-down and a unicast-up. The
+  // first cycle warms the event buffer, the id-set pool, the credit stack
+  // and the transport; an identical second cycle must not allocate in any
+  // handle() call or in the caller's drain of the events.
+  Rng graph_rng(7);
+  Harness h(make_random_regular(256, 6, graph_rng));
+  const std::vector<NodeId> origins = {0, 37, 101, 200};
+  std::vector<WalkOrder> orders;
+  for (const NodeId o : origins) orders.push_back({o, 512, 12});
+  h.engine.run_walk_stage(orders);
+  ASSERT_FALSE(h.engine.proxy_nodes(37).empty());
+  const NodeId proxy = h.engine.proxy_nodes(37).front();
+
+  const ProxyPayloadFn payload = [&](NodeId p, NodeId origin,
+                                     std::uint64_t units, ReplyPayload& r) {
+    r.proxy_nodes = 1;
+    r.distinct_proxies = units == 1 ? 1 : 0;
+    for (const auto& [x, cnt] : h.engine.registrations(p))
+      if (x != origin) r.add_id(1000 + x);
+  };
+  const std::vector<std::uint64_t> flood_ids = {5, 9, 11};
+  const std::vector<std::uint64_t> up_ids = {42};
+
+  WalkEvents events;
+  struct Tally {
+    std::uint64_t events = 0, id_sum = 0, allocs = 0;
+  };
+  const auto drain = [&](Tally& t) {
+    for (std::size_t head = 0; head < events.size(); ++head) {
+      const WalkEvent ev = events[head];
+      ++t.events;
+      for (const std::uint64_t id : events.ids(ev)) t.id_sum += id;
+      t.id_sum += ev.distinct_proxies + ev.proxy_nodes;
+    }
+    events.clear();
+  };
+  const auto pump = [&](Tally& t) {
+    const std::uint64_t local = allocations();
+    drain(t);
+    t.allocs += allocations() - local;
+    h.net.run_until_idle([&](const Delivery& d) {
+      const std::uint64_t before = allocations();
+      h.engine.handle(d, events);
+      drain(t);
+      t.allocs += allocations() - before;
+    });
+  };
+  const auto cycle = [&]() {
+    Tally t;
+    h.engine.begin_convergecast(origins, payload, events);
+    pump(t);
+    for (const NodeId o : origins) {
+      h.engine.begin_flood_down(o, flood_ids, events);
+      pump(t);
+    }
+    h.engine.begin_unicast_up(proxy, 37, up_ids, events);
+    pump(t);
+    return t;
+  };
+
+  const Tally warm = cycle();
+  ASSERT_GT(warm.allocs, 0u) << "the counting operator new is not linked in";
+  const Tally steady = cycle();
+  EXPECT_EQ(steady.events, warm.events);
+  EXPECT_EQ(steady.id_sum, warm.id_sum);
+  EXPECT_EQ(steady.allocs, 0u);
+}
+
+TEST(WalkEngineAlloc, ElectionAllocationsStayBounded) {
+  // Whole-election guard: the fresh Network and WalkEngine pools warm up
+  // once (about 4-5K allocations at n=256), but no per-delivery work
+  // allocates: one allocation per delivery would add 59K-71K per election.
+  const Graph g = make_family("expander", 256, 1);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ElectionParams params;
+    params.seed = seed;
+    const std::uint64_t before = allocations();
+    const ElectionResult r = run_leader_election(g, params);
+    const std::uint64_t made = allocations() - before;
+    EXPECT_EQ(r.leaders.size(), 1u) << "seed " << seed;
+    EXPECT_LT(made, 20000u) << "seed " << seed;
   }
 }
 

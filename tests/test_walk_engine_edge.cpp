@@ -24,12 +24,26 @@ struct Harness {
         rng(seed),
         engine(g, net, rng) {}
 
-  std::vector<WalkEvent> pump(std::vector<WalkEvent> initial = {}) {
-    std::vector<WalkEvent> all = std::move(initial);
-    net.run_until_idle([&](const Delivery& d) {
-      for (WalkEvent& ev : engine.handle(d)) all.push_back(std::move(ev));
-    });
+  WalkEvents pump(WalkEvents all) {
+    net.run_until_idle([&](const Delivery& d) { engine.handle(d, all); });
     return all;
+  }
+  WalkEvents convergecast(const std::vector<NodeId>& origins,
+                          const ProxyPayloadFn& payload) {
+    WalkEvents out;
+    engine.begin_convergecast(origins, payload, out);
+    return pump(std::move(out));
+  }
+  WalkEvents flood(NodeId origin, const std::vector<std::uint64_t>& ids) {
+    WalkEvents out;
+    engine.begin_flood_down(origin, ids, out);
+    return pump(std::move(out));
+  }
+  WalkEvents unicast(NodeId node, NodeId origin,
+                     const std::vector<std::uint64_t>& ids) {
+    WalkEvents out;
+    engine.begin_unicast_up(node, origin, ids, out);
+    return pump(std::move(out));
   }
 };
 
@@ -42,27 +56,25 @@ TEST(WalkEngineEdge, WalksOnStarTraverseTheHub) {
   for (const NodeId p : h.engine.proxy_nodes(3))
     total += h.engine.registrations(p).at(3);
   EXPECT_EQ(total, 50u);
-  const ProxyPayloadFn payload = [](NodeId, NodeId, std::uint64_t) {
-    ReplyPayload r;
+  const ProxyPayloadFn payload = [](NodeId, NodeId, std::uint64_t,
+                                    ReplyPayload& r) {
     r.proxy_nodes = 1;
-    return r;
   };
-  auto events = h.pump(h.engine.begin_convergecast({3}, payload));
+  auto events = h.convergecast({3}, payload);
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].reply.proxy_nodes, h.engine.proxy_nodes(3).size());
+  EXPECT_EQ(events[0].proxy_nodes, h.engine.proxy_nodes(3).size());
 }
 
 TEST(WalkEngineEdge, ConvergecastForSubsetLeavesOthersIntact) {
   Harness h(make_torus(5, 5));
   h.engine.run_walk_stage({{1, 30, 3}, {2, 30, 3}, {3, 30, 3}});
-  const ProxyPayloadFn payload = [](NodeId, NodeId, std::uint64_t) {
-    ReplyPayload r;
+  const ProxyPayloadFn payload = [](NodeId, NodeId, std::uint64_t,
+                                    ReplyPayload& r) {
     r.proxy_nodes = 1;
-    return r;
   };
   // Convergecast only origin 2; origins 1 and 3 must stay fully registered
   // and routable afterwards.
-  auto events = h.pump(h.engine.begin_convergecast({2}, payload));
+  auto events = h.convergecast({2}, payload);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].origin, 2u);
   for (const NodeId origin : {1u, 3u}) {
@@ -78,19 +90,18 @@ TEST(WalkEngineEdge, RepeatedConvergecastsGiveIdenticalAggregates) {
   // convergecasts over the same trails must agree on the unit bookkeeping.
   Harness h(make_hypercube(5));
   h.engine.run_walk_stage({{4, 64, 4}});
-  const ProxyPayloadFn payload = [](NodeId, NodeId, std::uint64_t units) {
-    ReplyPayload r;
+  const ProxyPayloadFn payload = [](NodeId, NodeId, std::uint64_t units,
+                                    ReplyPayload& r) {
     r.proxy_nodes = 1;
     r.distinct_proxies = units == 1 ? 1 : 0;
-    return r;
   };
-  auto first = h.pump(h.engine.begin_convergecast({4}, payload));
-  auto second = h.pump(h.engine.begin_convergecast({4}, payload));
+  auto first = h.convergecast({4}, payload);
+  auto second = h.convergecast({4}, payload);
   ASSERT_EQ(first.size(), 1u);
   ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(first[0].reply.proxy_nodes, second[0].reply.proxy_nodes);
-  EXPECT_EQ(first[0].reply.distinct_proxies,
-            second[0].reply.distinct_proxies);
+  EXPECT_EQ(first[0].proxy_nodes, second[0].proxy_nodes);
+  EXPECT_EQ(first[0].distinct_proxies,
+            second[0].distinct_proxies);
 }
 
 TEST(WalkEngineEdge, DistinctnessCountsAreExact) {
@@ -102,22 +113,21 @@ TEST(WalkEngineEdge, DistinctnessCountsAreExact) {
     ++nodes;
     if (h.engine.registrations(p).at(0) == 1) ++distinct;
   }
-  const ProxyPayloadFn payload = [](NodeId, NodeId, std::uint64_t units) {
-    ReplyPayload r;
+  const ProxyPayloadFn payload = [](NodeId, NodeId, std::uint64_t units,
+                                    ReplyPayload& r) {
     r.proxy_nodes = 1;
     r.distinct_proxies = units == 1 ? 1 : 0;
-    return r;
   };
-  auto events = h.pump(h.engine.begin_convergecast({0}, payload));
+  auto events = h.convergecast({0}, payload);
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].reply.proxy_nodes, nodes);
-  EXPECT_EQ(events[0].reply.distinct_proxies, distinct);
+  EXPECT_EQ(events[0].proxy_nodes, nodes);
+  EXPECT_EQ(events[0].distinct_proxies, distinct);
 }
 
 TEST(WalkEngineEdge, FloodForUnknownOriginIsANoop) {
   Harness h(make_ring(8));
   h.engine.run_walk_stage({{0, 10, 2}});
-  auto events = h.pump(h.engine.begin_flood_down(5, {1}));  // never walked
+  auto events = h.flood(5, {1});  // never walked
   EXPECT_TRUE(events.empty());
   EXPECT_TRUE(h.net.idle());
 }
@@ -130,7 +140,7 @@ TEST(WalkEngineEdge, UnicastOnStaleTrailDropsSafely) {
   // Re-walk clears the old trail; a unicast from the former proxy must not
   // crash or loop (it may silently drop or arrive via a fresh trail).
   h.engine.run_walk_stage({{2, 20, 5}});
-  auto events = h.pump(h.engine.begin_unicast_up(old_proxy, 2, {9}));
+  auto events = h.unicast(old_proxy, 2, {9});
   for (const WalkEvent& ev : events)
     EXPECT_EQ(ev.kind, WalkEvent::Kind::kUnicastAtOrigin);
   EXPECT_TRUE(h.net.idle());
@@ -182,13 +192,39 @@ TEST(WalkEngineEdge, ProxyCountersAboveItsUnitsAreRejected) {
   // convergecast aggregate within the 32-bit walk count.
   Harness h(make_ring(8));
   h.engine.run_walk_stage({{0, 10, 2}});
-  const ProxyPayloadFn payload = [](NodeId, NodeId, std::uint64_t units) {
-    ReplyPayload r;
+  const ProxyPayloadFn payload = [](NodeId, NodeId, std::uint64_t units,
+                                    ReplyPayload& r) {
     r.proxy_nodes = units + 1;
-    return r;
   };
-  EXPECT_THROW(h.engine.begin_convergecast({0}, payload),
+  WalkEvents out;
+  EXPECT_THROW(h.engine.begin_convergecast({0}, payload, out),
                std::invalid_argument);
+}
+
+TEST(WalkEngineEdge, IdsViewingTheEventBufferAreRejected) {
+  // Forwarding an event's ids straight back into the buffer they live in
+  // would let a push move that buffer while the operation still reads the
+  // view, so flood-down and unicast-up reject such a view up front.
+  Harness h(make_torus(4, 4));
+  h.engine.run_walk_stage({{2, 20, 3}});
+  const NodeId proxy = h.engine.proxy_nodes(2).front();
+  WalkEvents events = h.flood(2, {7, 8});
+  ASSERT_FALSE(events.empty());
+  const IdSpan inside = events.ids(events[0]);
+  const std::size_t before = events.size();
+  EXPECT_THROW(h.engine.begin_flood_down(2, inside, events),
+               std::invalid_argument);
+  EXPECT_THROW(h.engine.begin_unicast_up(proxy, 2, inside, events),
+               std::invalid_argument);
+  EXPECT_EQ(events.size(), before);
+  EXPECT_TRUE(h.net.idle());
+  // A copy of the same ids, or the same view into another buffer, is fine.
+  const std::vector<std::uint64_t> copy = inside.to_vector();
+  EXPECT_NO_THROW(h.engine.begin_unicast_up(proxy, 2, copy, events));
+  WalkEvents other;
+  EXPECT_NO_THROW(h.engine.begin_flood_down(2, events.ids(events[0]), other));
+  h.pump(std::move(other));
+  EXPECT_TRUE(h.net.idle());
 }
 
 }  // namespace
