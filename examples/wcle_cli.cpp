@@ -11,15 +11,9 @@
 //   wcle_cli sweep  --spec=e1 [--scale=0|1|2] [--format=text|csv|jsonl]
 //   wcle_cli sweep  algo=election family=expander n=256,512,1024 trials=5
 //                   drop=0,0.05 crash=0,0.2 bandwidth=standard,wide  (grid)
+//   wcle_cli sweep  --family=hypercube --from=64 --to=1024 --trials=3
+//                   (doubling-sweep sugar for the grid engine)
 //   wcle_cli bench-baseline [--out=BENCH_sweep.json]   perf-trajectory seed
-//
-// Legacy commands (pre-registry spellings, kept working):
-//   wcle_cli elect    --family=expander --n=1024 --seed=7 [--trials=5]
-//   wcle_cli explicit --family=clique --n=512 --seed=3
-//   wcle_cli profile  --family=torus --n=256        (tmix / conductance)
-//   wcle_cli lowerbound --n=1000 --alpha=0.004      (build G(alpha) + elect)
-//   wcle_cli sweep    --family=hypercube --from=64 --to=1024 --trials=3
-//                     (doubling-sweep sugar for the grid engine)
 //
 // Common options: --family=<see `wcle_cli list`> --n= --seed= --c1= --c2=
 //                 --wide --paper-schedule --source= --tmix= --budget=
@@ -49,13 +43,9 @@
 #include "wcle/api/sink.hpp"
 #include "wcle/api/sweep.hpp"
 #include "wcle/api/trials.hpp"
-#include "wcle/core/explicit_election.hpp"
-#include "wcle/core/leader_election.hpp"
 #include "wcle/graph/families.hpp"
-#include "wcle/graph/lower_bound_graph.hpp"
 #include "wcle/obs/congestion.hpp"
 #include "wcle/serve/server.hpp"
-#include "wcle/sim/network.hpp"
 #include "wcle/obs/perfetto.hpp"
 #include "wcle/obs/walks.hpp"
 #include "wcle/support/table.hpp"
@@ -181,14 +171,6 @@ RunOptions options_from(const CliArgs& args) {
   opt.tmix_multiplier = args.get_double("tmix-mult", opt.tmix_multiplier);
   opt.probe_budget = args.get_u64("budget", 0);
   opt.max_rounds = args.get_u64("max-rounds", 0);
-  // Round-engine worker shards (sim/network.hpp): results are bit-identical
-  // at any value, so this only moves wall time and pool footprint. 0 is
-  // rejected like the spec knob; counts above n clamp with a warning in the
-  // commands that know the graph (warn_shard_clamp).
-  opt.params.shards = get_u32(args, "shards", 1);
-  if (opt.params.shards == 0)
-    throw std::invalid_argument(
-        "--shards=0 (use 1 for the single-worker engine)");
   // Fault axis (fault/plan.hpp): validated by the Network at run time.
   FaultPlan& f = opt.params.faults;
   f.crash_fraction = args.get_double("crash", 0.0);
@@ -201,16 +183,6 @@ RunOptions options_from(const CliArgs& args) {
   f.adversary = args.get("adversary", f.adversary);
   f.validate();
   return opt;
-}
-
-/// The user-facing clamp warning for --shards > n. The transport clamps
-/// silently (ShardPlan::make) so library callers can pass machine-derived
-/// counts; the CLI is where a human typed the number, so it says so.
-void warn_shard_clamp(const RunOptions& options, const Graph& g) {
-  if (options.params.shards > g.node_count())
-    std::cerr << "warning: --shards=" << options.params.shards
-              << " exceeds n=" << g.node_count()
-              << "; the round engine clamps to one shard per node\n";
 }
 
 int cmd_list(const CliArgs& args) {
@@ -270,7 +242,6 @@ int cmd_run(const CliArgs& args) {
   const std::string format = parse_format(args, {"text", "json"});
   TraceOutput trace = open_trace(args);
   RunOptions options = options_from(args);
-  warn_shard_clamp(options, g);
   TraceRecorder recorder;
   if (trace) options.params.trace = &recorder;
   RunResult r = algo.run(g, options);
@@ -306,7 +277,6 @@ int cmd_trials(const CliArgs& args) {
       args.get_u64("base-seed", args.get_u64("seed", 1000));
   TraceOutput trace = open_trace(args);
   const RunOptions options = options_from(args);
-  warn_shard_clamp(options, g);
   std::vector<TraceRecorder> recorders;
   const TrialStats s = run_trials(algo, g, options, trials, base_seed,
                                   threads, trace ? &recorders : nullptr);
@@ -374,93 +344,6 @@ int cmd_trials(const CliArgs& args) {
             << "verdicts: safety " << s.safety_rate << ", liveness "
             << s.liveness_rate << ", agreement " << s.agreement.mean << "\n";
   return s.success_rate > 0.5 ? 0 : 1;
-}
-
-// Legacy commands read only the election knobs; deliberately NOT
-// options_from, which would mark --source/--tmix/--budget/... consumed and
-// mute the unconsumed-option warning for knobs these commands ignore.
-ElectionParams params_from(const CliArgs& args) {
-  ElectionParams p;
-  p.seed = args.get_u64("seed", 1);
-  p.c1 = args.get_double("c1", p.c1);
-  p.c2 = args.get_double("c2", p.c2);
-  p.wide_messages = args.get_bool("wide", false);
-  p.paper_schedule = args.get_bool("paper-schedule", false);
-  return p;
-}
-
-int cmd_elect(const CliArgs& args) {
-  const Graph g = build_family(args, "expander", 512);
-  std::cout << g.describe() << "\n";
-  const int trials = get_count(args, "trials", 1);
-  if (trials <= 1) {
-    const ElectionResult r = run_leader_election(g, params_from(args));
-    std::cout << (r.success()
-                      ? "leader: node " + std::to_string(r.leaders[0])
-                      : "FAILED (" + std::to_string(r.leaders.size()) +
-                            " leaders)")
-              << "\nmessages=" << r.totals.congest_messages
-              << " rounds=" << r.totals.rounds << " phases=" << r.phases
-              << " stop_t_u=" << r.final_length << "\n";
-    return r.success() ? 0 : 1;
-  }
-  const ElectionTrialStats s = run_election_trials(
-      g, params_from(args), trials, args.get_u64("seed", 1));
-  Table t({"metric", "mean", "min", "max"});
-  t.add_row({"congest messages", Table::num(s.congest_messages.mean),
-             Table::num(s.congest_messages.min),
-             Table::num(s.congest_messages.max)});
-  t.add_row({"rounds", Table::num(s.rounds.mean), Table::num(s.rounds.min),
-             Table::num(s.rounds.max)});
-  t.add_row({"stop t_u", Table::num(s.final_length.mean),
-             Table::num(s.final_length.min), Table::num(s.final_length.max)});
-  t.add_row({"contenders", Table::num(s.contenders.mean),
-             Table::num(s.contenders.min), Table::num(s.contenders.max)});
-  t.print(std::cout);
-  std::cout << "success rate: " << s.success_rate << "\n";
-  return s.success_rate > 0.5 ? 0 : 1;
-}
-
-int cmd_explicit(const CliArgs& args) {
-  const Graph g = build_family(args, "clique", 256);
-  const ExplicitElectionResult r = run_explicit_election(g, params_from(args));
-  std::cout << g.describe() << "\n"
-            << "election:  " << r.election.totals.congest_messages
-            << " msgs, " << r.election.totals.rounds << " rounds\n"
-            << "broadcast: " << r.broadcast.totals.congest_messages
-            << " msgs, " << r.broadcast.rounds << " rounds\n"
-            << (r.success ? "success" : "FAILED") << "\n";
-  return r.success ? 0 : 1;
-}
-
-int cmd_profile(const CliArgs& args) {
-  const Graph g = build_family(args, "torus", 256);
-  const GraphProfile p = profile_graph(
-      g, get_u32(args, "samples", 4));
-  std::cout << g.describe() << "\n"
-            << "tmix ~ " << p.tmix << "\n"
-            << "conductance: cheeger [" << p.cheeger_lower << ", "
-            << p.cheeger_upper << "], sweep-cut " << p.sweep_conductance
-            << "\n"
-            << "Theorem 13 envelopes: "
-            << theorem13_message_envelope(p.n, p.tmix) << " msgs, "
-            << theorem13_time_envelope(p.n, p.tmix) << " rounds\n";
-  return 0;
-}
-
-int cmd_lowerbound(const CliArgs& args) {
-  Rng rng(args.get_u64("seed", 42));
-  const LowerBoundGraph lb = make_lower_bound_graph(
-      get_u32(args, "n", 1000),
-      args.get_double("alpha", 0.004), rng);
-  std::cout << lb.graph.describe() << "  (eps=" << lb.epsilon << ", "
-            << lb.num_cliques << " cliques x " << lb.clique_size << ")\n";
-  const ElectionResult r = run_leader_election(lb.graph, params_from(args));
-  std::cout << (r.success() ? "elected 1 leader" : "FAILED") << " with "
-            << r.totals.congest_messages << " msgs; Theorem 15 envelope "
-            << theorem15_message_envelope(lb.graph.node_count(), lb.alpha)
-            << "\n";
-  return r.success() ? 0 : 1;
 }
 
 // The declarative sweep: a builtin spec (--spec=e1), grid-grammar
@@ -536,22 +419,12 @@ int cmd_replay(const CliArgs& args) {
   if (path.empty())
     throw std::invalid_argument("replay needs --trace=FILE");
   const bool diff = args.get_bool("diff", false);
-  // --shards=N regenerates under the sharded round engine: byte-identity
-  // against the recorded stream is exactly the headline invariant. Absent =
-  // run the spec as recorded; 0 is rejected like everywhere else.
-  const std::uint32_t shards = get_u32(args, "shards", 0);
-  if (args.has("shards") && shards == 0)
-    throw std::invalid_argument(
-        "--shards=0 (use 1 for the single-worker engine)");
   const ReplayReport rep =
-      verify_replay(path, get_u32(args, "threads", 0), diff, shards);
+      verify_replay(path, get_u32(args, "threads", 0), diff);
   std::cout << "trace:  " << path << " ("
             << (rep.format == TraceFormat::kBinary ? "binary" : "jsonl")
             << ", tool=" << rep.header.tool << ")\n"
             << "spec:   " << rep.header.spec << "\n";
-  if (shards != 0)
-    std::cout << "shards: regenerated with " << shards
-              << " worker shard(s)\n";
   std::cout << "replay: " << rep.detail << "\n";
   if (!rep.ok && !rep.diff.empty()) std::cout << rep.diff << "\n";
   return rep.ok ? 0 : 1;
@@ -956,136 +829,6 @@ int cmd_bench_dataplane(const CliArgs& args) {
   return 0;
 }
 
-// Emits the sharded round engine's scaling curves as google-benchmark JSON
-// (BENCH_shard.json): the election at shards in {1,2,4,8} across the three
-// e13 families, timed in-process. The counters (messages, rounds,
-// success_rate) are bit-identical across the shard axis — the headline
-// invariant — so a row whose counters drift from its shards=1 sibling is a
-// determinism bug, not a perf data point. Each entry also carries the
-// transport's per-shard pool gauges (from a fixed all-ports ping probe on
-// the same graph) so the footprint cost of sharding stays visible next to
-// the wall-clock win. Context honesty: num_cpus is the machine the file was
-// recorded on — single-core recorders cannot show a speedup, which is why
-// the CI guard on this file is conditional on num_cpus >= 2.
-//
-// Scale (WCLE_BENCH_SCALE or --scale) sizes the grid; at scale 2 the
-// expander column adds the n=10^6 election — the million-node headline run.
-int cmd_bench_shard(const CliArgs& args) {
-  const std::uint64_t scale_raw = args.get_u64(
-      "scale", static_cast<std::uint64_t>(default_bench_scale()));
-  if (scale_raw > 2)
-    throw std::invalid_argument("--scale=" + std::to_string(scale_raw) +
-                                " (0 = quick, 1 = default, 2 = extended)");
-  const int scale = static_cast<int>(scale_raw);
-  const std::uint32_t shard_axis[] = {1, 2, 4, 8};
-  const std::uint64_t grid_n = scale <= 0 ? 256 : scale == 1 ? 1024 : 2048;
-  const char* families[] = {"expander", "hypercube", "clique"};
-
-  const std::string out_path = args.get("out", "");
-  std::ofstream file;
-  if (!out_path.empty()) {
-    file.open(out_path);
-    if (!file) throw std::runtime_error("cannot open --out=" + out_path);
-  }
-  std::ostream& out = out_path.empty() ? std::cout : file;
-
-  out << "{\"context\":{\"executable\":\"wcle_cli\",\"num_cpus\":"
-      << std::thread::hardware_concurrency()
-      << ",\"shard_axis\":[1,2,4,8],\"grid_n\":" << grid_n
-      << ",\"library_build_type\":\"release\",\"caches\":[]},"
-      << "\"benchmarks\":[";
-  bool first_entry = true;
-  const auto timed = [](const std::function<void()>& body, double& wall_ns,
-                        double& cpu_ns) {
-    const auto wall0 = std::chrono::steady_clock::now();
-    const std::clock_t cpu0 = std::clock();
-    body();
-    cpu_ns = 1e9 * static_cast<double>(std::clock() - cpu0) /
-             static_cast<double>(CLOCKS_PER_SEC);
-    wall_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wall0)
-            .count());
-  };
-
-  // One graph per family, reused across the shard axis so every row times
-  // the same workload. The per-shard pool gauges come from a fixed probe:
-  // every node sends one bandwidth-sized message out of every port, then
-  // the network drains — a deterministic footprint sample of the transport
-  // itself, independent of which protocol ran.
-  const auto shard_pool_json = [](const Graph& g, std::uint32_t shards) {
-    CongestConfig cfg = CongestConfig::standard(g.node_count());
-    cfg.shards = shards;
-    Network net(g, cfg);
-    Message ping;
-    ping.tag = 0x01;
-    ping.bits = cfg.bandwidth_bits;
-    for (NodeId v = 0; v < g.node_count(); ++v)
-      for (Port p = 0; p < g.degree(v); ++p) net.send(v, p, ping);
-    net.run_until_idle([](const Delivery&) {});
-    std::ostringstream json;
-    json << ",\"pool_msg_slots_per_shard\":[";
-    for (std::uint32_t s = 0; s < net.shard_count(); ++s)
-      json << (s ? "," : "") << net.shard_pool_stats(s).msg_slots;
-    json << "],\"pool_id_blocks_per_shard\":[";
-    for (std::uint32_t s = 0; s < net.shard_count(); ++s)
-      json << (s ? "," : "") << net.shard_pool_stats(s).id_heap_blocks;
-    json << "]";
-    return json.str();
-  };
-
-  const auto run_cell = [&](const std::string& family, std::uint64_t n,
-                            int trials, std::uint32_t shards) {
-    const ExperimentSpec spec = parse_spec(
-        "algo=election family=" + family + " n=" + std::to_string(n) +
-        " trials=" + std::to_string(trials) + " base-seed=1000 shards=" +
-        std::to_string(shards));
-    const SweepCell cell = expand_cells(spec).front();
-    const Graph g = make_family(cell.family,
-                                static_cast<NodeId>(cell.requested_n),
-                                spec.graph_seed);
-    TrialStats stats;
-    double wall_ns = 0, cpu_ns = 0;
-    timed(
-        [&] {
-          stats = run_trials(AlgorithmRegistry::instance().at(cell.algorithm),
-                             g, cell.options, spec.trials, spec.base_seed,
-                             /*threads=*/1);
-        },
-        wall_ns, cpu_ns);
-    const std::string name = "shard/" + family + "/" + std::to_string(n) +
-                             "/shards:" + std::to_string(shards);
-    out << (first_entry ? "" : ",") << "{\"name\":\"" << name
-        << "\",\"run_name\":\"" << name
-        << "\",\"run_type\":\"iteration\",\"repetitions\":1,"
-        << "\"repetition_index\":0,\"threads\":" << shards
-        << ",\"iterations\":" << spec.trials
-        << ",\"real_time\":" << json_number(wall_ns / spec.trials)
-        << ",\"cpu_time\":" << json_number(cpu_ns / spec.trials)
-        << ",\"time_unit\":\"ns\",\"shards\":" << shards
-        << ",\"congest_messages\":" << json_number(stats.congest_messages.mean)
-        << ",\"rounds\":" << json_number(stats.rounds.mean)
-        << ",\"success_rate\":" << json_number(stats.success_rate)
-        << shard_pool_json(g, shards) << "}";
-    first_entry = false;
-    out.flush();
-  };
-
-  for (const char* family : families)
-    for (const std::uint32_t shards : shard_axis)
-      run_cell(family, grid_n, /*trials=*/scale <= 0 ? 1 : 2, shards);
-
-  // The million-node election (scale 2 or --million): one trial per shard
-  // count on the 6-regular expander — the e1 workload three decades up.
-  if (scale >= 2 || args.get_bool("million", false))
-    for (const std::uint32_t shards : {1u, 4u})
-      run_cell("expander", 1000000, /*trials=*/1, shards);
-
-  out << "]}\n";
-  out.flush();
-  return 0;
-}
-
 void warn_unconsumed(const CliArgs& args);
 
 // The daemon's drain trigger must be async-signal-safe: the handler writes
@@ -1173,22 +916,12 @@ void usage() {
       "            (fixed-scale election sweep, google-benchmark JSON)\n"
       "            bench-dataplane [--out=BENCH_dataplane.json]\n"
       "            (hot-path trajectory: e1/e13/e14 cells + traced e1 smoke)\n"
-      "            bench-shard [--out=BENCH_shard.json] [--scale=0|1|2]\n"
-      "                        [--million]\n"
-      "            (round-engine scaling: shards x {expander, hypercube,\n"
-      "             clique}; scale 2 / --million add the n=10^6 election)\n"
-      "  shards:   run/trials/sweep/replay --shards=<k>  (worker shards for\n"
-      "            the round engine; results are bit-identical at any k —\n"
-      "            replay --shards verifies that against a recorded trace)\n"
-      "  legacy:   elect, explicit, profile, lowerbound\n"
       "  common:   --family=<see list> --n=<nodes> --seed=<u64>\n"
       "            --c1= --c2= --wide --paper-schedule --source=\n"
       "            --tmix= --tmix-mult= --budget= --value-bits=\n"
       "  faults:   --crash=<frac> --crash-round= --linkfail=<frac>\n"
       "            --linkfail-round= --churn=<frac> --churn-start=\n"
-      "            --churn-end= --adversary=random|degree|contenders\n"
-      "  elect:      --trials=<k>\n"
-      "  lowerbound: --alpha=<conductance target>\n";
+      "            --churn-end= --adversary=random|degree|contenders\n";
 }
 
 void warn_unconsumed(const CliArgs& args) {
@@ -1206,10 +939,6 @@ int main(int argc, char** argv) {
     if (args.command() == "list") rc = cmd_list(args);
     else if (args.command() == "run") rc = cmd_run(args);
     else if (args.command() == "trials") rc = cmd_trials(args);
-    else if (args.command() == "elect") rc = cmd_elect(args);
-    else if (args.command() == "explicit") rc = cmd_explicit(args);
-    else if (args.command() == "profile") rc = cmd_profile(args);
-    else if (args.command() == "lowerbound") rc = cmd_lowerbound(args);
     else if (args.command() == "sweep") rc = cmd_sweep(args);
     else if (args.command() == "serve") rc = cmd_serve(args);
     else if (args.command() == "replay") rc = cmd_replay(args);
@@ -1222,7 +951,6 @@ int main(int argc, char** argv) {
     else if (args.command() == "bench-baseline") rc = cmd_bench_baseline(args);
     else if (args.command() == "bench-dataplane")
       rc = cmd_bench_dataplane(args);
-    else if (args.command() == "bench-shard") rc = cmd_bench_shard(args);
     else {
       usage();
       return args.command().empty() ? 0 : 2;

@@ -116,19 +116,13 @@ std::string decode_first_difference(const TraceFileData& a,
 }  // namespace
 
 ReplayReport verify_replay(const std::string& path, unsigned threads,
-                           bool diff, std::uint32_t shards) {
+                           bool diff) {
   ReplayReport report;
   const std::string original = read_file_bytes(path);
   report.header = parse_trace_header(original, &report.format);
   report.original_bytes = original.size();
 
-  ExperimentSpec spec = parse_spec(report.header.spec);
-  // Shards override: regenerate under a different worker-shard count while
-  // byte-comparing against the recorded stream (and writing the *original*
-  // header, so the comparison is apples-to-apples). A single-value knob
-  // leaves the cell grid and its ordering untouched; it only changes how
-  // each round is served, which the canonical merge makes unobservable.
-  if (shards != 0) spec.knobs["shards"] = {std::to_string(shards)};
+  const ExperimentSpec spec = parse_spec(report.header.spec);
 
   std::ostringstream buf;
   const std::unique_ptr<TraceWriter> writer =

@@ -37,16 +37,11 @@ struct ReplayReport {
 /// Re-executes the run(s) described by the trace at `path` and checks the
 /// regenerated timeline is byte-identical. `threads` feeds the sweep worker
 /// pool (0 = hardware concurrency) — the regenerated bytes are identical for
-/// any value. `shards` overrides the round engine's worker-shard count for
-/// the regeneration (0 = run the spec as recorded): the sharded engine's
-/// canonical merge promises bit-identical results at any shard count, and
-/// replaying a golden trace under a shards override is exactly the check
-/// that turns that promise into a tested artifact. With `diff` set, a
-/// mismatch additionally parses both streams and decodes the first differing
-/// record into ReplayReport::diff. Throws std::runtime_error on
-/// unreadable/malformed traces and std::invalid_argument when the embedded
-/// spec no longer parses.
+/// any value. With `diff` set, a mismatch additionally parses both streams
+/// and decodes the first differing record into ReplayReport::diff. Throws
+/// std::runtime_error on unreadable/malformed traces and
+/// std::invalid_argument when the embedded spec no longer parses.
 ReplayReport verify_replay(const std::string& path, unsigned threads = 0,
-                           bool diff = false, std::uint32_t shards = 0);
+                           bool diff = false);
 
 }  // namespace wcle

@@ -118,11 +118,6 @@ void apply_knob(RunOptions& options, const std::string& key,
     if (options.params.trace_walks == 0)
       throw std::invalid_argument(
           "spec: trace-walks=0 (use 1 for every walk, or omit the knob)");
-  } else if (key == "shards") {
-    options.params.shards = parse_u32(key, value);
-    if (options.params.shards == 0)
-      throw std::invalid_argument(
-          "spec: shards=0 (use 1 for the single-worker engine)");
   } else
     throw std::invalid_argument(
         "spec: unknown key '" + key + "' (axes: algo family n bandwidth drop "
@@ -150,9 +145,9 @@ std::vector<std::string> knob_names() {
   return {"budget",     "c1",           "c2",            "churn",
           "churn-end",  "churn-start",  "coalesce",      "crash-round",
           "initial-length", "lazy-walks", "linkfail-round", "max-length",
-          "max-phases", "max-rounds",   "paper-schedule", "shards",
-          "source",     "tmix",         "tmix-mult",     "trace-every",
-          "trace-walks", "value-bits",  "wide"};
+          "max-phases", "max-rounds",   "paper-schedule", "source",
+          "tmix",       "tmix-mult",    "trace-every",   "trace-walks",
+          "value-bits", "wide"};
 }
 
 ExperimentSpec single_run_spec(const std::string& algorithm,
@@ -233,12 +228,6 @@ ExperimentSpec single_run_spec(const std::string& algorithm,
        std::to_string(p.trace_every));
   knob("trace-walks", p.trace_walks != def.params.trace_walks,
        std::to_string(p.trace_walks));
-  // shards is reverse-mapped like any other knob, so canonical_cell_key does
-  // NOT collapse cells across shard counts. Deliberate: results are
-  // bit-identical either way (the headline invariant), but the serve cache
-  // and sweep resume logic key on "same computation as specified", and a
-  // shards=4 run legitimately differs in footprint gauges.
-  knob("shards", p.shards != def.params.shards, std::to_string(p.shards));
   return spec;
 }
 

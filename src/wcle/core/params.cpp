@@ -85,7 +85,6 @@ CongestConfig congest_config_for(const ElectionParams& params, NodeId n) {
   cfg.trace = params.trace;
   cfg.trace_every = params.trace_every;
   cfg.trace_walks = params.trace_walks;
-  cfg.shards = params.shards;
   return cfg;
 }
 

@@ -73,11 +73,6 @@ struct ElectionParams {
   /// Rides into CongestConfig::trace_walks via congest_config_for; requires
   /// `trace` to be wired and is purely observational like it.
   std::uint32_t trace_walks = 0;
-  /// Worker shards for the round engine (CongestConfig::shards). Results are
-  /// bit-identical at any value — only wall time and pool footprint vary —
-  /// so this is a performance knob, not an experiment axis. Clamped to
-  /// [1, node count] by the transport.
-  std::uint32_t shards = 1;
   /// Root seed; all ids, coin flips, and walks derive from it.
   std::uint64_t seed = 1;
 

@@ -393,27 +393,6 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
   for (const WalkOrder& o : orders) clear_origin(o.origin);
   for (const WalkOrder& o : orders) intern(o.origin).length = o.length;
 
-  const std::uint32_t nshards = net_->shard_count();
-  if (shard_pending_.size() < nshards) shard_pending_.resize(nshards);
-
-  const auto dispose_sorted = [&](const std::vector<Pending>& bucket) {
-    std::size_t i = 0;
-    while (i < bucket.size()) {
-      std::uint32_t total = bucket[i].count;
-      std::size_t j = i + 1;
-      while (j < bucket.size() && bucket[j].node == bucket[i].node &&
-             bucket[j].origin == bucket[i].origin &&
-             bucket[j].level == bucket[i].level) {
-        total += bucket[j].count;
-        ++j;
-      }
-      OriginState* os = find_origin(bucket[i].origin);
-      assert(os != nullptr);
-      dispose_units(*os, bucket[i].node, bucket[i].level, total, next);
-      i = j;
-    }
-  };
-
   const std::uint64_t round0 = net_->round();
   // Per-walk token tracing (--trace-walks): one hop record per delivered
   // token message, emitted into the recorder's pre-sized buffer. Purely
@@ -422,26 +401,21 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
   TraceRecorder* const rec = net_->config().trace;
   const bool trace_walks = rec != nullptr && rec->trace_walks() != 0;
   while (!cur.empty() || !net_->idle()) {
-    if (nshards == 1) {
-      std::sort(cur.begin(), cur.end(), by_token);
-      dispose_sorted(cur);
-    } else {
-      // Sharded sort: buckets partition by the transport's contiguous node
-      // ranges and the comparator leads with the node, so walking the sorted
-      // buckets in shard order IS the global sorted order — the per-shard
-      // sorts run concurrently, the RNG-consuming disposal stays sequential.
-      for (const Pending& p : cur)
-        // wcle-lint: no-alloc-ok(per-shard buckets stay warm across rounds)
-        shard_pending_[net_->shard_of(p.node)].push_back(p);
-      // wcle-lint: no-alloc-transitive-ok(fork/join handoff, not per-message)
-      net_->run_on_shards([this, &by_token](std::uint32_t s) {
-        std::sort(shard_pending_[s].begin(), shard_pending_[s].end(),
-                  by_token);
-      });
-      for (std::uint32_t s = 0; s < nshards; ++s) {
-        dispose_sorted(shard_pending_[s]);
-        shard_pending_[s].clear();
+    // Coalesce this round's tokens: sorted by (node, origin, level desc),
+    // equal keys are adjacent and dispose as one bucket of summed units.
+    std::sort(cur.begin(), cur.end(), by_token);
+    for (std::size_t i = 0; i < cur.size();) {
+      std::uint32_t total = cur[i].count;
+      std::size_t j = i + 1;
+      while (j < cur.size() && cur[j].node == cur[i].node &&
+             cur[j].origin == cur[i].origin && cur[j].level == cur[i].level) {
+        total += cur[j].count;
+        ++j;
       }
+      OriginState* os = find_origin(cur[i].origin);
+      assert(os != nullptr);
+      dispose_units(*os, cur[i].node, cur[i].level, total, next);
+      i = j;
     }
     cur.clear();
 
@@ -789,8 +763,6 @@ WalkEngine::MemoryBytes WalkEngine::memory_bytes() const noexcept {
   }
   for (const std::vector<Registration>& regs : registrations_)
     m.trails += regs.capacity() * sizeof(Registration);
-  for (const std::vector<Pending>& bucket : shard_pending_)
-    m.trails += bucket.capacity() * sizeof(Pending);
   m.id_pool = cc_pool_.memory_bytes();
   return m;
 }

@@ -33,11 +33,10 @@
 // level down, and the walks' injection point is (origin, length).
 // Convergecast id sets live in an engine-owned WordPool, allocated at the
 // exact size class of each set-union, with size-class free lists threaded
-// through the freed storage itself. run_walk_stage's per-round token buckets
-// partition by the transport's node shards and sort per shard (concatenating
-// sorted shard buckets reproduces the global order, since shards are
-// contiguous node ranges and the sort key leads with the node). After the
-// first phase the engine performs no steady-state allocation.
+// through the freed storage itself. run_walk_stage sorts each round's tokens
+// once and disposes of them in that order, so the coalesced RNG draws follow
+// a fixed sequence. After the first phase the engine performs no
+// steady-state allocation.
 //
 // Events: handle() and the begin_* operations append what they complete to a
 // caller-owned WalkEvents buffer, in FIFO order — plain events plus one word
@@ -374,11 +373,8 @@ class WalkEngine {
     std::vector<NodeId> proxies;
   };
 
-  /// A pending (node, origin, level, units) token bucket of the walk stage.
-  /// Partitioned by the node's transport shard and sorted per shard by
-  /// (node, origin, level desc); concatenating the shard buckets in shard
-  /// order is the same global order the unsharded engine sorted into, so the
-  /// coalesced RNG draws are identical.
+  /// A pending (node, origin, level, units) token bucket of the walk stage,
+  /// disposed of in (node, origin, level desc) order each round.
   struct Pending {
     NodeId node = 0;
     NodeId origin = 0;
@@ -459,10 +455,6 @@ class WalkEngine {
   std::vector<CreditWork> cc_stack_;
   /// begin_convergecast's scratch payload, handed to every ProxyPayloadFn.
   ReplyPayload proxy_payload_;
-
-  /// Walk-stage scratch: one token bucket per transport shard, sorted in
-  /// parallel via Network::run_on_shards.
-  std::vector<std::vector<Pending>> shard_pending_;
 
   const std::vector<NodeId> empty_nodes_;
 };

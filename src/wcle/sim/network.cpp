@@ -81,10 +81,7 @@ void IdArena::maybe_reset() {
 // ---------------------------------------------------------------- Network
 
 Network::Network(const Graph& g, CongestConfig cfg)
-    : g_(&g),
-      cfg_(cfg),
-      plan_(ShardPlan::make(g.node_count(), cfg.shards)),
-      drop_rng_(cfg.drop_seed) {
+    : g_(&g), cfg_(cfg), drop_rng_(cfg.drop_seed) {
   if (cfg_.bandwidth_bits == 0)
     throw std::invalid_argument("Network: bandwidth_bits must be >= 1");
   if (cfg_.drop_probability < 0.0 || cfg_.drop_probability > 1.0)
@@ -103,33 +100,15 @@ Network::Network(const Graph& g, CongestConfig cfg)
     for (std::uint64_t lane = first_lane_[v]; lane < first_lane_[v + 1];
          ++lane)
       lane_src_[lane] = v;
-  shards_.resize(plan_.shards);
-  if (plan_.shards > 1)
-    executor_ = std::make_unique<ShardExecutor>(plan_.shards);
-}
-
-Network::PoolStats Network::shard_pool_stats(std::uint32_t s) const noexcept {
-  PoolStats out;
-  const Shard& sh = shards_[s];
-  out.id_heap_blocks = sh.ids.chunk_count();
-  out.id_alloc_calls = sh.ids.alloc_calls();
-  out.id_live = sh.ids.live();
-  out.msg_slots = sh.msgs.size();
-  out.msg_live = sh.msgs.size() - sh.free_msgs.size();
-  out.delivery_capacity = 0;  // delivered_ is shared, reported in pool_stats
-  return out;
 }
 
 Network::PoolStats Network::pool_stats() const noexcept {
   PoolStats s;
-  for (std::uint32_t i = 0; i < plan_.shards; ++i) {
-    const PoolStats part = shard_pool_stats(i);
-    s.id_heap_blocks += part.id_heap_blocks;
-    s.id_alloc_calls += part.id_alloc_calls;
-    s.id_live += part.id_live;
-    s.msg_slots += part.msg_slots;
-    s.msg_live += part.msg_live;
-  }
+  s.id_heap_blocks = ids_.chunk_count();
+  s.id_alloc_calls = ids_.alloc_calls();
+  s.id_live = ids_.live();
+  s.msg_slots = msgs_.size();
+  s.msg_live = msgs_.size() - free_msgs_.size();
   s.delivery_capacity = delivered_.capacity();
   return s;
 }
@@ -146,34 +125,26 @@ void Network::note_phase(const char* label, std::uint64_t value) {
                       label);
 }
 
-void Network::run_on_shards(const std::function<void(std::uint32_t)>& fn) {
-  if (executor_ == nullptr) {
-    for (std::uint32_t s = 0; s < plan_.shards; ++s) fn(s);
-    return;
-  }
-  executor_->run(fn);
-}
-
-// send()/step() are the zero-allocation data plane (PR 5, sharded in PR 10):
-// in steady state a queued message reuses a pooled slot in its shard, its
-// payload reuses arena space, and a delivery is a view — no heap traffic per
-// message or per delivery. The region makes that property checkable at the
-// source level; every suppressed line below is a warm-up-only growth point
-// whose flatness pool_stats() proves dynamically.
+// send()/step() are the zero-allocation data plane: in steady state a
+// queued message reuses a pooled slot, its payload reuses arena space, and a
+// delivery is a view — no heap traffic per message or per delivery. The
+// region makes that property checkable at the source level; every
+// suppressed line below is a warm-up-only growth point whose flatness
+// pool_stats() proves dynamically.
 // wcle-lint: begin-no-alloc
-std::uint32_t Network::alloc_msg(Shard& shard) {
-  if (!shard.free_msgs.empty()) {
-    const std::uint32_t slot = shard.free_msgs.back();
-    shard.free_msgs.pop_back();
+std::uint32_t Network::alloc_msg() {
+  if (!free_msgs_.empty()) {
+    const std::uint32_t slot = free_msgs_.back();
+    free_msgs_.pop_back();
     return slot;
   }
-  shard.msgs.emplace_back();
-  return static_cast<std::uint32_t>(shard.msgs.size() - 1);
+  msgs_.emplace_back();
+  return static_cast<std::uint32_t>(msgs_.size() - 1);
 }
 
-void Network::free_msg(Shard& shard, std::uint32_t slot) {
+void Network::free_msg(std::uint32_t slot) {
   // wcle-lint: no-alloc-ok(free-list bounded by pool size)
-  shard.free_msgs.push_back(slot);
+  free_msgs_.push_back(slot);
 }
 
 void Network::send(NodeId from, Port port, const Message& msg) {
@@ -191,10 +162,9 @@ void Network::send(NodeId from, Port port, const Message& msg) {
   metrics_.logical_messages += 1;
   metrics_.total_bits += msg.bits;
   const std::uint64_t lane = lane_index(from, port);
-  Shard& shard = shards_[plan_.shard_of(from)];
 
-  const std::uint32_t slot = alloc_msg(shard);
-  QueuedMessage& q = shard.msgs[slot];
+  const std::uint32_t slot = alloc_msg();
+  QueuedMessage& q = msgs_[slot];
   q.a = msg.a;
   q.b = msg.b;
   q.c = msg.c;
@@ -204,7 +174,7 @@ void Network::send(NodeId from, Port port, const Message& msg) {
   q.next = kNil;
   q.ids_len = msg.ids.size();
   if (q.ids_len > 0) {
-    std::uint64_t* stored = shard.ids.alloc(q.ids_len);
+    std::uint64_t* stored = ids_.alloc(q.ids_len);
     std::memcpy(stored, msg.ids.data(), q.ids_len * sizeof(std::uint64_t));
     q.ids = stored;
   } else {
@@ -215,152 +185,42 @@ void Network::send(NodeId from, Port port, const Message& msg) {
   if (l.tail == kNil)
     l.head = slot;
   else
-    shard.msgs[l.tail].next = slot;
+    msgs_[l.tail].next = slot;
   l.tail = slot;
   l.count += 1;
   metrics_.max_edge_backlog =
       std::max<std::uint64_t>(metrics_.max_edge_backlog, l.count);
   if (!l.active) {
     l.active = true;
-    // The canonical order under sharding: send() is single-threaded, so
-    // this counter totally orders lane activations, and each shard's
-    // active list is stamp-ascending by construction.
-    l.stamp = ++stamp_counter_;
     // wcle-lint: no-alloc-ok(bounded by directed edges; warms once)
-    shard.active.push_back(lane);
-    ++shard.active_count;
+    active_.push_back(lane);
   }
-}
-
-void Network::serve_shard(std::uint32_t s) {
-  Shard& sh = shards_[s];
-  sh.candidates.clear();
-  sh.d_quanta = 0;
-  sh.d_crash = 0;
-  sh.d_link = 0;
-  sh.d_by_tag.fill(0);
-  const std::uint32_t B = cfg_.bandwidth_bits;
-
-  // Serve one quantum per backlogged directed edge of this shard. New sends
-  // happen strictly between rounds, so iterating a snapshot of the active
-  // list is safe; lanes drained this round are compacted out. Everything
-  // mutated here is shard-local (this shard's lanes, pool, arena, counters);
-  // the graph and the fault tables are read-only during the service stage.
-  std::uint64_t write = 0;
-  const std::uint64_t count = sh.active.size();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t lane = sh.active[i];
-    Lane& l = lanes_[lane];
-    if (l.head == kNil) {
-      l.active = false;
-      --sh.active_count;
-      continue;
-    }
-    QueuedMessage& head = sh.msgs[l.head];
-    sh.d_quanta += 1;
-    sh.d_by_tag[head.tag] += 1;
-    l.served_bits += B;
-    if (l.served_bits >= head.bits) {
-      // Fully transmitted. The RNG-free fault axes are consulted here, in
-      // the worker: an eaten message has already paid its congestion bill,
-      // it just never reaches the other endpoint, and it never consumes a
-      // drop draw — so eating it shard-locally cannot shift the drop
-      // stream. The random-drop axis itself is deferred to the stamp-merged
-      // barrier stage, where the draws happen in canonical order.
-      const NodeId from = lane_src_[lane];
-      const Port port = static_cast<Port>(lane - first_lane_[from]);
-      bool eaten = false;
-      if (faults_) {
-        if (!faults_->link_up(from, port)) {
-          sh.d_link += 1;
-          eaten = true;
-        } else if (!faults_->node_up(from) ||
-                   !faults_->node_up(g_->neighbor(from, port))) {
-          // Sender died before the transmission completed, or the receiver
-          // is down — crash-stop eats the message either way.
-          sh.d_crash += 1;
-          eaten = true;
-        }
-      }
-      if (!eaten) {
-        // Candidate for the barrier merge: scalars are copied (the pool
-        // slot is recycled below), the payload pointer stays valid until
-        // the merge releases or retires it.
-        Candidate c;
-        c.stamp = l.stamp;
-        c.a = head.a;
-        c.b = head.b;
-        c.c = head.c;
-        c.d = head.d;
-        c.ids = head.ids;
-        c.ids_len = head.ids_len;
-        c.bits = head.bits;
-        c.dst = g_->neighbor(from, port);
-        c.port = g_->mirror_port(from, port);
-        c.shard = s;
-        c.tag = head.tag;
-        // wcle-lint: no-alloc-ok(capacity bounded by deliveries per round)
-        sh.candidates.push_back(c);
-      } else if (head.ids_len > 0) {
-        sh.ids.release(head.ids, head.ids_len);
-      }
-      const std::uint32_t served = l.head;
-      l.head = head.next;
-      if (l.head == kNil) l.tail = kNil;
-      l.count -= 1;
-      free_msg(sh, served);
-      l.served_bits = 0;
-    }
-    if (l.head == kNil) {
-      l.active = false;
-      --sh.active_count;
-    } else {
-      sh.active[write++] = lane;
-    }
-  }
-  // Every live lane has been compacted to [0, write) in stamp order.
-  // wcle-lint: no-alloc-ok(shrinks to compacted prefix; never grows)
-  sh.active.resize(write);
 }
 
 const std::vector<Delivery>& Network::step() {
   delivered_.clear();
   // Views handed out by the previous step are dead now; recycle their
-  // payload slots, and rewind each arena whenever it drained — the "reset
+  // payload slots, and rewind the arena whenever it drained — the "reset
   // per round-batch" that keeps one warm footprint for the whole run.
-  for (Shard& sh : shards_) {
-    if (!sh.retired_ids.empty()) {
-      for (const auto& [p, len] : sh.retired_ids) sh.ids.release(p, len);
-      sh.retired_ids.clear();
-    }
-    sh.ids.maybe_reset();
-  }
+  for (const auto& [p, len] : retired_ids_) ids_.release(p, len);
+  retired_ids_.clear();
+  ids_.maybe_reset();
   // Pool gauges (obs): occupancy peaks right here — every send of the
   // inter-step window is queued, nothing has been served yet — so this is
   // where the high-water marks are sampled. Scalar maxes only; the gauges
-  // never feed back into service order. Occupancy gauges (live) are
-  // shard-invariant; capacity gauges (slots/blocks) sum per-shard pools and
-  // legitimately vary with the shard count.
-  std::uint64_t msg_live = 0, id_live = 0, msg_slots = 0, id_blocks = 0;
-  for (const Shard& sh : shards_) {
-    msg_live += sh.msgs.size() - sh.free_msgs.size();
-    id_live += sh.ids.live();
-    msg_slots += sh.msgs.size();
-    id_blocks += sh.ids.chunk_count();
-  }
+  // never feed back into service order.
+  const PoolStats pool = pool_stats();
   metrics_.pool_msg_live_high =
-      std::max<std::uint64_t>(metrics_.pool_msg_live_high, msg_live);
+      std::max<std::uint64_t>(metrics_.pool_msg_live_high, pool.msg_live);
   metrics_.pool_id_live_high =
-      std::max<std::uint64_t>(metrics_.pool_id_live_high, id_live);
+      std::max<std::uint64_t>(metrics_.pool_id_live_high, pool.id_live);
   metrics_.pool_msg_slots =
-      std::max<std::uint64_t>(metrics_.pool_msg_slots, msg_slots);
+      std::max<std::uint64_t>(metrics_.pool_msg_slots, pool.msg_slots);
   metrics_.pool_id_blocks =
-      std::max<std::uint64_t>(metrics_.pool_id_blocks, id_blocks);
+      std::max<std::uint64_t>(metrics_.pool_id_blocks, pool.id_heap_blocks);
   metrics_.rounds += 1;
   // Fault events fire at the start of their round, before any service:
-  // crash_round = 1 means the victims never deliver a single message. The
-  // injector advances here, sequentially — the shard workers below only
-  // read its tables.
+  // crash_round = 1 means the victims never deliver a single message.
   // wcle-lint: no-alloc-transitive-ok(fault rounds sit outside the contract)
   if (faults_) faults_->advance(metrics_.rounds);
   // Tracing snapshots the counters it attributes per-round so the service
@@ -374,69 +234,74 @@ const std::vector<Delivery>& Network::step() {
     before_link = metrics_.link_dropped_messages;
   }
 
-  // Phase A — parallel service: one worker per shard serves its own lanes
-  // and emits completion candidates into its fixed inbox buffer.
-  if (executor_ == nullptr)
-    serve_shard(0);
-  else
-    // wcle-lint: no-alloc-transitive-ok(fork/join handoff, not per-message)
-    executor_->run([this](std::uint32_t s) { serve_shard(s); });
-
-  // Barrier: fold the order-independent per-shard metric deltas (sums).
-  for (const Shard& sh : shards_) {
-    metrics_.congest_messages += sh.d_quanta;
-    metrics_.crash_dropped_messages += sh.d_crash;
-    metrics_.link_dropped_messages += sh.d_link;
-    if (sh.d_quanta > 0)
-      for (std::size_t t = 0; t < sh.d_by_tag.size(); ++t)
-        metrics_.congest_messages_by_tag[t] += sh.d_by_tag[t];
-  }
-
-  // Phase B — canonical merge: gather every shard's candidates and sort by
-  // activation stamp BEFORE any RNG-relevant disposal. Stamps are unique
-  // and totally ordered by the sequential send() path, so this reproduces
-  // the exact service order the unsharded engine produces — the drop-RNG
-  // stream, the delivery order, and every downstream protocol decision are
-  // bit-identical at any shard count.
-  merged_.clear();
-  for (const Shard& sh : shards_)
-    for (const Candidate& c : sh.candidates)
-      // wcle-lint: no-alloc-ok(capacity pinned flat by the pool_stats test)
-      merged_.push_back(c);
-  std::sort(merged_.begin(), merged_.end(),
-            [](const Candidate& x, const Candidate& y) {
-              return x.stamp < y.stamp;
-            });
-  for (const Candidate& c : merged_) {
-    bool eaten = false;
-    if (cfg_.drop_probability > 0.0 &&
-        drop_rng_.next_bool(cfg_.drop_probability)) {
-      metrics_.dropped_messages += 1;
-      eaten = true;
+  // Serve one quantum per backlogged directed edge, in activation order.
+  // New sends happen strictly between rounds, so iterating the active list
+  // while compacting drained lanes out of it is safe.
+  const std::uint32_t B = cfg_.bandwidth_bits;
+  std::uint64_t write = 0;
+  const std::uint64_t count = active_.size();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t lane = active_[i];
+    Lane& l = lanes_[lane];
+    // Drained lanes leave the list in the pass that drains them, and only
+    // send() adds lanes, so every listed lane has a queued message.
+    assert(l.head != kNil);
+    const QueuedMessage& head = msgs_[l.head];
+    metrics_.congest_messages += 1;
+    metrics_.congest_messages_by_tag[head.tag] += 1;
+    l.served_bits += B;
+    if (l.served_bits >= head.bits) {
+      // Fully transmitted. A message eaten by a fault has still paid its
+      // congestion bill; it just never reaches the other endpoint. Link and
+      // crash faults are checked first and consume no drop draw.
+      const NodeId from = lane_src_[lane];
+      const Port port = static_cast<Port>(lane - first_lane_[from]);
+      const NodeId dst = g_->neighbor(from, port);
+      bool eaten = true;
+      if (faults_ && !faults_->link_up(from, port)) {
+        metrics_.link_dropped_messages += 1;
+      } else if (faults_ &&
+                 (!faults_->node_up(from) || !faults_->node_up(dst))) {
+        // Sender died before the transmission completed, or the receiver
+        // is down — crash-stop eats the message either way.
+        metrics_.crash_dropped_messages += 1;
+      } else if (cfg_.drop_probability > 0.0 &&
+                 drop_rng_.next_bool(cfg_.drop_probability)) {
+        metrics_.dropped_messages += 1;
+      } else {
+        eaten = false;
+        Delivery d;
+        d.dst = dst;
+        d.port = g_->mirror_port(from, port);
+        d.msg.tag = head.tag;
+        d.msg.a = head.a;
+        d.msg.b = head.b;
+        d.msg.c = head.c;
+        d.msg.d = head.d;
+        d.msg.bits = head.bits;
+        d.msg.ids = IdSpan(head.ids, head.ids_len);
+        // wcle-lint: no-alloc-ok(capacity pinned flat by the pool_stats test)
+        delivered_.push_back(d);
+        // The view must outlive this step; release the payload next step.
+        if (head.ids_len > 0)
+          // wcle-lint: no-alloc-ok(bounded by deliveries per round; warms once)
+          retired_ids_.push_back({head.ids, head.ids_len});
+      }
+      if (eaten && head.ids_len > 0) ids_.release(head.ids, head.ids_len);
+      const std::uint32_t served = l.head;
+      l.head = head.next;
+      if (l.head == kNil) l.tail = kNil;
+      l.count -= 1;
+      free_msg(served);
+      l.served_bits = 0;
     }
-    if (!eaten) {
-      Delivery d;
-      d.dst = c.dst;
-      d.port = c.port;
-      d.msg.tag = c.tag;
-      d.msg.a = c.a;
-      d.msg.b = c.b;
-      d.msg.c = c.c;
-      d.msg.d = c.d;
-      d.msg.bits = c.bits;
-      d.msg.ids = IdSpan(c.ids, c.ids_len);
-      // wcle-lint: no-alloc-ok(capacity pinned flat by the pool_stats test)
-      delivered_.push_back(d);
-      // The view must outlive this step; release the payload next step.
-      if (c.ids_len > 0)
-        // wcle-lint: no-alloc-ok(bounded by deliveries per round; warms once)
-        shards_[c.shard].retired_ids.push_back({c.ids, c.ids_len});
-    } else if (c.ids_len > 0) {
-      shards_[c.shard].ids.release(c.ids, c.ids_len);
-    }
+    if (l.head == kNil)
+      l.active = false;
+    else
+      active_[write++] = lane;
   }
-  std::uint64_t backlog = 0;
-  for (const Shard& sh : shards_) backlog += sh.active_count;
+  // wcle-lint: no-alloc-ok(shrinks to compacted prefix; never grows)
+  active_.resize(write);
   if (cfg_.trace)
     cfg_.trace->on_round(
         metrics_.rounds,
@@ -447,7 +312,7 @@ const std::vector<Delivery>& Network::step() {
                                    before_crash),
         static_cast<std::uint32_t>(metrics_.link_dropped_messages -
                                    before_link),
-        static_cast<std::uint32_t>(backlog));
+        static_cast<std::uint32_t>(active_.size()));
   return delivered_;
 }
 // wcle-lint: end-no-alloc

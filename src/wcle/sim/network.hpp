@@ -5,29 +5,19 @@
 // modeled for real: each directed edge serves one B-bit quantum per round from
 // a FIFO, so oversized or bursty traffic queues exactly as Lemma 12 assumes.
 //
-// Data plane (see README "Architecture"): the node space is partitioned into
-// contiguous shards (ShardPlan); each shard owns the message pool, id arena,
-// and active-lane list of the lanes leaving its nodes, so a round's service
-// stage runs one worker per shard with no shared mutable state. Queued
-// messages live in the owning shard's pool; each lane (directed edge) is an
-// index-linked FIFO through that pool; variable-length payloads are copied
-// into the shard's chunked id arena, which rewinds whenever it drains.
-// Deliveries are views into those pools — the steady-state hot path performs
-// no heap allocation.
+// Data plane (see README "Architecture"): queued messages live in one
+// message pool; each lane (directed edge) is an index-linked FIFO through
+// that pool; variable-length payloads are copied into a chunked id arena,
+// which rewinds whenever it drains. Deliveries are views into those pools —
+// the steady-state hot path performs no heap allocation.
 //
-// Determinism under sharding (the headline invariant): every lane carries the
-// stamp of its latest activation, drawn from one global counter inside the
-// single-threaded send() path, so each shard's active list is stamp-ascending
-// by construction. The parallel service stage only *completes* messages; all
-// RNG-relevant disposal (the drop stream) and delivery emission happen at the
-// round barrier after sorting the per-shard candidates by stamp — the
-// canonical merge order, which reproduces the exact sequential service order.
-// Seed-fixed runs are therefore bit-identical at any shard count.
+// Determinism: lanes join the active list in activation order and drained
+// lanes are compacted out in place, so step() serves lanes in a fixed order
+// and disposes of each completed message (fault checks, drop draw, delivery)
+// as it is served. Seed-fixed runs are therefore bit-reproducible.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -36,7 +26,6 @@
 #include "wcle/graph/graph.hpp"
 #include "wcle/sim/message.hpp"
 #include "wcle/sim/metrics.hpp"
-#include "wcle/sim/shard.hpp"
 #include "wcle/support/bits.hpp"
 #include "wcle/support/rng.hpp"
 
@@ -57,11 +46,6 @@ struct CongestConfig {
   /// Seed of the drop stream; together with the deterministic lane-service
   /// order this makes faulty executions bit-reproducible.
   std::uint64_t drop_seed = 0;
-  /// Worker shards for the round engine. Results are bit-identical at any
-  /// value (the canonical stamp merge restores sequential order); only wall
-  /// time and pool footprint vary. Clamped silently to [1, node count] —
-  /// the CLI layer prints the user-facing clamp warning.
-  std::uint32_t shards = 1;
   /// Structured faults: crash-stop schedules, link failures, churn windows
   /// (see fault/plan.hpp). An inactive plan costs nothing — the reliable
   /// model stays bit-identical to the pre-fault implementation.
@@ -147,8 +131,8 @@ class IdArena {
   std::uint64_t alloc_calls_ = 0;
 };
 
-/// The transport. Owns the per-shard message pools, the per-directed-edge
-/// lane rings, the payload arenas, and all metrics.
+/// The transport. Owns the message pool, the per-directed-edge lane rings,
+/// the payload arena, and all metrics.
 class Network {
  public:
   Network(const Graph& g, CongestConfig cfg);
@@ -157,24 +141,20 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Enqueues `msg` for transmission from `from` through its local `port`:
-  /// scalars and the viewed id words are copied into the owning shard's
+  /// scalars and the viewed id words are copied into the transport's
   /// pools, so the caller's payload storage only needs to outlive this call.
   /// Requires msg.bits >= 1 and port < degree(from).
   void send(NodeId from, Port port, const Message& msg);
 
   /// Advances one synchronous round: every backlogged directed edge serves one
-  /// B-bit quantum (one worker per shard), then the per-shard completions are
-  /// merged in stamp order at the barrier for the RNG-relevant disposal.
+  /// B-bit quantum, in lane-activation order, and each message it completes
+  /// is disposed of on the spot (fault checks, drop draw, delivery).
   /// Returns this round's deliveries as views (valid until the next call —
-  /// Delivery::msg.ids points into a shard's id arena).
+  /// Delivery::msg.ids points into the id arena).
   const std::vector<Delivery>& step();
 
   /// True when no message is queued or in flight.
-  bool idle() const noexcept {
-    std::uint64_t active = 0;
-    for (const Shard& sh : shards_) active += sh.active_count;
-    return active == 0;
-  }
+  bool idle() const noexcept { return active_.empty(); }
 
   /// Runs step() until idle, dispatching deliveries to `handler`
   /// (callable as handler(const Delivery&)). Deliveries are passed by
@@ -198,27 +178,12 @@ class Network {
   const Graph& graph() const noexcept { return *g_; }
   const CongestConfig& config() const noexcept { return cfg_; }
 
-  /// The resolved shard partition (cfg.shards clamped to [1, node count]).
-  std::uint32_t shard_count() const noexcept { return plan_.shards; }
-  std::uint32_t shard_of(NodeId node) const noexcept {
-    return plan_.shard_of(node);
-  }
-
-  /// Runs fn(s) for every shard — on the executor when this network is
-  /// sharded, inline otherwise. Exposed so layers above (the walk engine's
-  /// per-shard token buckets) can reuse the transport's worker pool for
-  /// their own shard-local stages. `fn` must only touch shard-local state.
-  void run_on_shards(const std::function<void(std::uint32_t)>& fn);
-
-  /// Allocation instrumentation of the data-plane pools, summed across
-  /// shards. Once a workload's footprint is warmed up, heap_blocks /
-  /// msg_slots / delivery_capacity stay flat while deliveries keep flowing —
-  /// the no-allocation-per-delivery property the tests pin down. Occupancy
-  /// (id_live, msg_live) is shard-invariant; capacity (id_heap_blocks,
-  /// msg_slots) is a footprint measurement that legitimately varies with the
-  /// shard count, since every shard warms its own pool.
+  /// Allocation instrumentation of the data-plane pools. Once a workload's
+  /// footprint is warmed up, heap_blocks / msg_slots / delivery_capacity stay
+  /// flat while deliveries keep flowing — the no-allocation-per-delivery
+  /// property the tests pin down.
   struct PoolStats {
-    std::uint64_t id_heap_blocks = 0;    ///< heap blocks the arenas hold
+    std::uint64_t id_heap_blocks = 0;    ///< heap blocks the arena holds
     std::uint64_t id_alloc_calls = 0;    ///< payload slots handed out
     std::uint64_t id_live = 0;           ///< payload slots outstanding
     std::uint64_t msg_slots = 0;         ///< message-pool capacity (slots)
@@ -226,9 +191,6 @@ class Network {
     std::uint64_t delivery_capacity = 0; ///< delivered_ vector capacity
   };
   PoolStats pool_stats() const noexcept;
-  /// The same gauges for one shard (s < shard_count()): the bench-shard
-  /// context block records these so scaling curves carry their footprint.
-  PoolStats shard_pool_stats(std::uint32_t s) const noexcept;
 
   /// True when `node` is currently alive (always true on fault-free runs).
   /// Protocols consult this to model crash-stop: a dead node takes no local
@@ -260,9 +222,9 @@ class Network {
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  /// One queued message in a shard's pool. Scalars are copied from the
-  /// sender's Message; the payload lives in the shard's id arena; `next`
-  /// threads the lane's FIFO through the pool.
+  /// One queued message in the pool. Scalars are copied from the sender's
+  /// Message; the payload lives in the id arena; `next` threads the lane's
+  /// FIFO through the pool.
   struct QueuedMessage {
     std::uint64_t a = 0, b = 0, c = 0, d = 0;
     const std::uint64_t* ids = nullptr;
@@ -272,81 +234,35 @@ class Network {
     std::uint8_t tag = 0;
   };
 
-  /// Per-directed-edge FIFO: head/tail indices into the owning shard's pool.
+  /// Per-directed-edge FIFO: head/tail indices into the message pool.
   struct Lane {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
     std::uint32_t count = 0;        ///< queued messages (backlog metric)
     std::uint32_t served_bits = 0;  ///< bits of the head already transmitted
-    bool active = false;            ///< registered in the shard's active list
-    /// Global activation order: assigned from stamp_counter_ inside the
-    /// single-threaded send() each time the lane (re)activates. Within one
-    /// shard the active list is stamp-ascending by construction; merging
-    /// shards by stamp therefore reproduces the sequential service order.
-    std::uint64_t stamp = 0;
-  };
-
-  /// A message fully served this round that survived the RNG-free fault
-  /// checks: the shard workers emit these into fixed per-shard buffers, and
-  /// the barrier merge disposes them in stamp order (drop draw, delivery).
-  /// Scalars are copied because the pool slot is recycled during the service
-  /// stage; the payload pointer stays valid (its arena slot is still live).
-  struct Candidate {
-    std::uint64_t stamp = 0;
-    std::uint64_t a = 0, b = 0, c = 0, d = 0;
-    const std::uint64_t* ids = nullptr;
-    std::uint32_t ids_len = 0;
-    std::uint32_t bits = 0;
-    NodeId dst = 0;
-    Port port = 0;          ///< receiver's local port
-    std::uint32_t shard = 0;  ///< owning (sender) shard, for payload release
-    std::uint8_t tag = 0;
-  };
-
-  /// Everything one worker owns: the active-lane list and pools of the lanes
-  /// leaving its node range, the candidate (inbox) buffer it fills each
-  /// round, and its per-round metric deltas (order-independent sums, merged
-  /// at the barrier).
-  struct Shard {
-    std::vector<std::uint64_t> active;  ///< lane indices with traffic
-    std::uint64_t active_count = 0;
-    std::vector<QueuedMessage> msgs;    ///< shard message pool
-    std::vector<std::uint32_t> free_msgs;
-    IdArena ids;                        ///< payload storage
-    /// Payloads of messages delivered last step: their views must survive
-    /// until the next step() call, so they are released at its start.
-    std::vector<std::pair<const std::uint64_t*, std::uint32_t>> retired_ids;
-    std::vector<Candidate> candidates;
-    std::uint64_t d_quanta = 0;  ///< congest_messages delta this round
-    std::uint64_t d_crash = 0;
-    std::uint64_t d_link = 0;
-    std::array<std::uint64_t, 256> d_by_tag{};
+    bool active = false;            ///< registered in the active list
   };
 
   std::uint64_t lane_index(NodeId from, Port port) const noexcept {
     return first_lane_[from] + port;
   }
 
-  std::uint32_t alloc_msg(Shard& shard);
-  void free_msg(Shard& shard, std::uint32_t slot);
-
-  /// Phase A of step(): serves one quantum per active lane of shard `s`,
-  /// runs the RNG-free fault checks, and emits surviving completions into
-  /// the shard's candidate buffer. Touches only shard-local state plus
-  /// read-only graph/fault tables — safe to run one worker per shard.
-  void serve_shard(std::uint32_t s);
+  std::uint32_t alloc_msg();
+  void free_msg(std::uint32_t slot);
 
   const Graph* g_;
   CongestConfig cfg_;
-  ShardPlan plan_;
-  std::unique_ptr<ShardExecutor> executor_;  ///< null when shard_count() == 1
   std::vector<std::uint64_t> first_lane_;  ///< per-node base into lanes_
   std::vector<NodeId> lane_src_;           ///< lane -> sending node
   std::vector<Lane> lanes_;                ///< one per directed edge
-  std::vector<Shard> shards_;
-  std::uint64_t stamp_counter_ = 0;  ///< global lane-activation counter
-  /// Barrier merge scratch: all shards' candidates, sorted by stamp.
-  std::vector<Candidate> merged_;
+  /// Lane indices with traffic, in activation order.
+  std::vector<std::uint64_t> active_;
+  std::vector<QueuedMessage> msgs_;  ///< message pool
+  std::vector<std::uint32_t> free_msgs_;
+  IdArena ids_;  ///< payload storage
+  /// Payloads of messages delivered last step: their views must survive
+  /// until the next step() call, so they are released at its start.
+  std::vector<std::pair<const std::uint64_t*, std::uint32_t>> retired_ids_;
   std::vector<Delivery> delivered_;
   Rng drop_rng_;  ///< consulted only when cfg_.drop_probability > 0
   std::unique_ptr<FaultInjector> faults_;  ///< null when cfg_.faults inactive

@@ -82,8 +82,7 @@ INSTANTIATE_TEST_SUITE_P(AllFixtures, LintGolden,
                          testing::Values("banned_rng", "unordered_iter",
                                          "pointer_order", "no_alloc",
                                          "bad_directives", "suppressions",
-                                         "rng_flow", "transitive_no_alloc",
-                                         "shard_merge"));
+                                         "rng_flow", "transitive_no_alloc"));
 
 // ---------------------------------------------------------------------------
 // 2. SEED cross-check (independent of the goldens)
@@ -131,8 +130,7 @@ INSTANTIATE_TEST_SUITE_P(SeededFixtures, LintSeeds,
                          testing::Values("banned_rng", "unordered_iter",
                                          "pointer_order", "no_alloc",
                                          "bad_directives", "rng_flow",
-                                         "transitive_no_alloc",
-                                         "shard_merge"));
+                                         "transitive_no_alloc"));
 
 // The layering fixture needs a src-shaped display path and the repo's layer
 // config, so it runs outside the shared fixture harness. The absolute

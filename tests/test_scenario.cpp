@@ -63,6 +63,8 @@ TEST(SpecGrammar, Rejections) {
   EXPECT_THROW(parse_spec("wide=maybe"), std::invalid_argument);
   EXPECT_THROW(parse_spec("notkeyvalue"), std::invalid_argument);
   EXPECT_THROW(parse_spec("n="), std::invalid_argument);
+  EXPECT_THROW(parse_spec("algo=election n=8 shards=4"),
+               std::invalid_argument);
 }
 
 TEST(SpecGrammar, KnobApplication) {
