@@ -1,16 +1,12 @@
-// Thin scaffolding for the experiment benches, which since the sweep engine
-// are mostly declarative: each bench binary
-//   1. runs its builtin ExperimentSpec (wcle/api/scenario.hpp) through the
-//      sweep engine and prints the paper-style table — the exact table
-//      `wcle_cli sweep --spec=eK` reproduces — plus any supplemental
-//      proof-mechanism tables that are not sweep-shaped, then
-//   2. registers its headline configuration as a google-benchmark case so
-//      the standard benchmark tooling also sees it.
+// Thin scaffolding for the experiment programs, which since the sweep engine
+// are mostly declarative: each program runs its builtin ExperimentSpec
+// (wcle/api/scenario.hpp) through the sweep engine and prints the
+// paper-style table — the exact table `wcle_cli sweep --spec=eK` reproduces
+// — plus the derived and supplemental proof-mechanism tables that are not
+// sweep-shaped.
 // Sweep sizes honour the WCLE_BENCH_SCALE env var (0 = quick, 1 = default,
 // 2 = extended) so CI and laptops can trade depth for time.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <iostream>
 #include <string>
@@ -19,13 +15,9 @@
 #include "wcle/api/scenario.hpp"
 #include "wcle/api/sink.hpp"
 #include "wcle/api/sweep.hpp"
-#include "wcle/graph/families.hpp"
 #include "wcle/support/table.hpp"
 
 namespace wcle::bench {
-
-/// 0 = quick, 1 = default, 2 = extended (WCLE_BENCH_SCALE).
-inline int scale() { return wcle::default_bench_scale(); }
 
 /// Runs `spec` through the sweep engine with the paper-style table sink and
 /// returns the per-cell results for bespoke post-analysis (power-law fits,
@@ -37,15 +29,7 @@ inline std::vector<CellResult> run_spec(const ExperimentSpec& spec) {
 
 /// Convenience: the builtin experiment at the ambient scale.
 inline std::vector<CellResult> run_builtin(const std::string& name) {
-  return run_spec(builtin_experiment(name, scale()));
-}
-
-/// The alpha of a "lowerbound[:alpha]" family string, resolved by the family
-/// registry itself so the default and validation cannot drift from what the
-/// graph was actually built with. Used by the E7/E8/E10 normalization
-/// columns.
-inline double alpha_of(const std::string& family) {
-  return wcle::lowerbound_alpha(family);
+  return run_spec(builtin_experiment(name, default_bench_scale()));
 }
 
 /// Prints a supplemental banner + table + note (for the proof-mechanism
@@ -57,17 +41,5 @@ inline void print_report(const std::string& title, const Table& table,
   if (!note.empty()) std::cout << note << "\n";
   std::cout.flush();
 }
-
-/// Boilerplate main: print tables (via `run_tables`), then hand over to
-/// google-benchmark for the registered cases.
-#define WCLE_BENCH_MAIN(run_tables)                          \
-  int main(int argc, char** argv) {                          \
-    run_tables();                                            \
-    ::benchmark::Initialize(&argc, argv);                    \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
-    ::benchmark::RunSpecifiedBenchmarks();                   \
-    ::benchmark::Shutdown();                                 \
-    return 0;                                                \
-  }
 
 }  // namespace wcle::bench

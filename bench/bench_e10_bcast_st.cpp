@@ -6,14 +6,11 @@
 // every cell by the n/sqrt(phi) envelope: the ratio must stay >= a constant
 // (no algorithm can go below the bound) and track its growth as alpha
 // shrinks.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "wcle/baselines/push_pull.hpp"
-#include "wcle/graph/lower_bound_graph.hpp"
+#include "wcle/graph/families.hpp"
 #include "wcle/support/table.hpp"
 
 namespace {
@@ -25,7 +22,7 @@ void run_tables() {
   Table t({"alpha", "n", "algorithm", "envelope n/sqrt(phi)",
            "msgs/envelope"});
   for (const CellResult& r : results) {
-    const double alpha = bench::alpha_of(r.cell.family);
+    const double alpha = lowerbound_alpha(r.cell.family);
     const double envelope =
         static_cast<double>(r.n) / std::sqrt(alpha);
     t.add_row({Table::num(alpha, 3), std::to_string(r.n), r.cell.algorithm,
@@ -38,17 +35,6 @@ void run_tables() {
       "beat n/sqrt(phi) on this family");
 }
 
-void BM_PushPullLowerBoundGraph(benchmark::State& state) {
-  Rng grng(0xEA000);
-  const LowerBoundGraph lb = make_lower_bound_graph(800, 0.003, grng);
-  std::uint64_t msgs = 0, seed = 1;
-  for (auto _ : state)
-    msgs = run_push_pull(lb.graph, {0}, 32, seed++).totals.congest_messages;
-  state.counters["congest_msgs"] = static_cast<double>(msgs);
-}
-BENCHMARK(BM_PushPullLowerBoundGraph)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-WCLE_BENCH_MAIN(run_tables)
+int main() { run_tables(); }

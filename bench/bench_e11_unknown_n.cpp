@@ -8,8 +8,6 @@
 //   (b) bridge-crossing cost: random port probing from within one side needs
 //       ~m/2 probes in expectation to find a bridge port (Lemma 18's
 //       argument specialized to the two bridge edges among 2m ports).
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench_common.hpp"
@@ -25,7 +23,7 @@ using namespace wcle;
 void run_tables() {
   bench::run_builtin("e11");
 
-  const int sc = bench::scale();
+  const int sc = default_bench_scale();
   struct Case {
     const char* name;
     Graph base;
@@ -75,20 +73,6 @@ void run_tables() {
       "leaders = 1; bridge discovery costs Theta(m) port probes");
 }
 
-void BM_DumbbellElection(benchmark::State& state) {
-  const Graph base = make_torus(8, 8);
-  Rng drng(0xEB100);
-  const DumbbellGraph d = make_random_dumbbell(base, drng);
-  ElectionParams p;
-  std::uint64_t msgs = 0;
-  for (auto _ : state) {
-    p.seed += 1;
-    msgs = run_leader_election(d.graph, p).totals.congest_messages;
-  }
-  state.counters["congest_msgs"] = static_cast<double>(msgs);
-}
-BENCHMARK(BM_DumbbellElection)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-WCLE_BENCH_MAIN(run_tables)
+int main() { run_tables(); }

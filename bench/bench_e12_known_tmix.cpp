@@ -7,16 +7,10 @@
 // the builtin spec "e12" (`wcle_cli sweep --spec=e12`); this binary derives
 // the message/round overhead ratios per family, which theory caps at
 // O(log^2 n) in time and a constant factor in walk stages.
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "wcle/baselines/known_tmix.hpp"
-#include "wcle/core/params.hpp"
-#include "wcle/graph/generators.hpp"
-#include "wcle/graph/spectral.hpp"
 #include "wcle/support/table.hpp"
 
 namespace {
@@ -53,20 +47,6 @@ void run_tables() {
       "fee that makes the [29] route lose");
 }
 
-void BM_KnownTmix(benchmark::State& state) {
-  const Graph g = make_hypercube(8);
-  const std::uint32_t tmix =
-      static_cast<std::uint32_t>(mixing_time_exact(g, 1u << 18));
-  ElectionParams p;
-  std::uint64_t msgs = 0;
-  for (auto _ : state) {
-    p.seed += 1;
-    msgs = run_known_tmix_election(g, 2 * tmix, p).totals.congest_messages;
-  }
-  state.counters["congest_msgs"] = static_cast<double>(msgs);
-}
-BENCHMARK(BM_KnownTmix)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-WCLE_BENCH_MAIN(run_tables)
+int main() { run_tables(); }

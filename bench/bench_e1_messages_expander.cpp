@@ -4,13 +4,9 @@
 // both n and m. The sweep itself is declarative (builtin spec "e1",
 // reproducible via `wcle_cli sweep --spec=e1`); this binary adds the
 // empirical growth-exponent fit (should be ~0.5 + o(1)).
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench_common.hpp"
-#include "wcle/core/leader_election.hpp"
-#include "wcle/graph/generators.hpp"
 #include "wcle/support/stats.hpp"
 #include "wcle/support/table.hpp"
 
@@ -35,25 +31,6 @@ void run_tables() {
             << " (must shrink: sublinear in m)\n";
 }
 
-void BM_ElectionExpander(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Rng grng(0xE1000 + n);
-  const Graph g = make_random_regular(n, 6, grng);
-  ElectionParams p;
-  std::uint64_t msgs = 0, rounds = 0;
-  for (auto _ : state) {
-    p.seed += 1;
-    const ElectionResult r = run_leader_election(g, p);
-    msgs = r.totals.congest_messages;
-    rounds = r.totals.rounds;
-    benchmark::DoNotOptimize(r.leaders);
-  }
-  state.counters["congest_msgs"] = static_cast<double>(msgs);
-  state.counters["rounds"] = static_cast<double>(rounds);
-}
-BENCHMARK(BM_ElectionExpander)->Arg(256)->Arg(1024)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-WCLE_BENCH_MAIN(run_tables)
+int main() { run_tables(); }

@@ -3,13 +3,9 @@
 // (`wcle_cli sweep --spec=e2`); measured rounds must sit below the paper's
 // conservative schedule (scheduled_rounds column — Lemma 12's congestion
 // padding), which this binary verifies and annotates with the growth fit.
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench_common.hpp"
-#include "wcle/core/leader_election.hpp"
-#include "wcle/graph/generators.hpp"
 #include "wcle/support/stats.hpp"
 #include "wcle/support/table.hpp"
 
@@ -38,24 +34,6 @@ void run_tables() {
             << "\n";
 }
 
-void BM_ElectionTimeExpander(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Rng grng(0xE2000 + n);
-  const Graph g = make_random_regular(n, 6, grng);
-  ElectionParams p;
-  std::uint64_t rounds = 0, sched = 0;
-  for (auto _ : state) {
-    p.seed += 1;
-    const ElectionResult r = run_leader_election(g, p);
-    rounds = r.totals.rounds;
-    sched = r.scheduled_rounds;
-  }
-  state.counters["rounds"] = static_cast<double>(rounds);
-  state.counters["schedule"] = static_cast<double>(sched);
-}
-BENCHMARK(BM_ElectionTimeExpander)->Arg(512)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-WCLE_BENCH_MAIN(run_tables)
+int main() { run_tables(); }

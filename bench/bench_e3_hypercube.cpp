@@ -4,14 +4,10 @@
 // The dimension sweep is the builtin spec "e3" (`wcle_cli sweep --spec=e3`);
 // this binary normalizes the measured messages by the hypercube-specialized
 // envelope (the ratio must stay flat-ish across dims).
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "wcle/core/leader_election.hpp"
-#include "wcle/graph/generators.hpp"
 #include "wcle/support/table.hpp"
 
 namespace {
@@ -35,19 +31,6 @@ void run_tables() {
       "msgs/envelope flat-ish across dims confirms the hypercube corollary");
 }
 
-void BM_ElectionHypercube(benchmark::State& state) {
-  const Graph g = make_hypercube(static_cast<std::uint32_t>(state.range(0)));
-  ElectionParams p;
-  std::uint64_t msgs = 0;
-  for (auto _ : state) {
-    p.seed += 1;
-    msgs = run_leader_election(g, p).totals.congest_messages;
-  }
-  state.counters["congest_msgs"] = static_cast<double>(msgs);
-}
-BENCHMARK(BM_ElectionHypercube)->Arg(8)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-WCLE_BENCH_MAIN(run_tables)
+int main() { run_tables(); }

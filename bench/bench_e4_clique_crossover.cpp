@@ -4,15 +4,10 @@
 // the Omega(m) bound of [24] for explicit election. The four-algorithm
 // clique sweep is the builtin spec "e4" (`wcle_cli sweep --spec=e4`); this
 // binary derives the ours/m and flood/ours crossover ratios from the cells.
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "wcle/baselines/candidate_flood.hpp"
-#include "wcle/core/leader_election.hpp"
-#include "wcle/graph/generators.hpp"
 #include "wcle/support/table.hpp"
 
 namespace {
@@ -43,22 +38,6 @@ void run_tables() {
       "(crossover); referee[25] stays cheaper by the walk/exchange polylogs");
 }
 
-void BM_CliqueOursVsFlood(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  const Graph g = make_clique(n);
-  ElectionParams p;
-  std::uint64_t ours = 0, flood = 0;
-  for (auto _ : state) {
-    p.seed += 1;
-    ours = run_leader_election(g, p).totals.congest_messages;
-    flood = run_candidate_flood(g, p.seed).totals.congest_messages;
-  }
-  state.counters["ours"] = static_cast<double>(ours);
-  state.counters["flood"] = static_cast<double>(flood);
-}
-BENCHMARK(BM_CliqueOursVsFlood)->Arg(256)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-WCLE_BENCH_MAIN(run_tables)
+int main() { run_tables(); }

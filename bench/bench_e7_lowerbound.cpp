@@ -9,15 +9,12 @@
 //       discovers few inter-clique edges when the budget is o(n^{2eps}),
 //       leaving the clique-communication graph CG shattered into components —
 //       precisely the 0-or-many-leaders failure mode of Lemmas 19-25.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <functional>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "wcle/analysis/experiment.hpp"
-#include "wcle/core/leader_election.hpp"
 #include "wcle/graph/families.hpp"
 #include "wcle/graph/lower_bound_graph.hpp"
 #include "wcle/support/table.hpp"
@@ -62,12 +59,12 @@ void run_tables() {
   // envelope needs each cell's tmix, so the graph is rebuilt from the
   // spec's (family, n, graph_seed) — by construction the same graph the
   // sweep ran on — and profiled.
-  const ExperimentSpec spec = builtin_experiment("e7", bench::scale());
+  const ExperimentSpec spec = builtin_experiment("e7", default_bench_scale());
   const std::vector<CellResult> results = bench::run_spec(spec);
   Table t({"alpha", "n", "lower env", "msgs(mean)", "upper env",
            "msgs/lower", "msgs/upper"});
   for (const CellResult& r : results) {
-    const double alpha = bench::alpha_of(r.cell.family);
+    const double alpha = lowerbound_alpha(r.cell.family);
     const double lower = theorem15_message_envelope(r.n, alpha);
     const Graph g = make_family(r.cell.family,
                                 static_cast<NodeId>(r.cell.requested_n),
@@ -85,7 +82,7 @@ void run_tables() {
       "msgs/upper <= O(1) (Theorem 13 bounds it from above)");
 
   // (b) the proof mechanism: budget vs CG shattering.
-  const int sc = bench::scale();
+  const int sc = default_bench_scale();
   const NodeId n = sc >= 2 ? 1200 : (sc == 1 ? 700 : 500);
   Rng grng(0xE7999);
   const LowerBoundGraph lb = make_lower_bound_graph(n, 0.003, grng);
@@ -110,19 +107,6 @@ void run_tables() {
       "proof; budgets >= s^2 connect it");
 }
 
-void BM_LowerBoundElection(benchmark::State& state) {
-  Rng grng(0xE7000);
-  const LowerBoundGraph lb = make_lower_bound_graph(500, 0.006, grng);
-  ElectionParams p;
-  std::uint64_t msgs = 0;
-  for (auto _ : state) {
-    p.seed += 1;
-    msgs = run_leader_election(lb.graph, p).totals.congest_messages;
-  }
-  state.counters["congest_msgs"] = static_cast<double>(msgs);
-}
-BENCHMARK(BM_LowerBoundElection)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-WCLE_BENCH_MAIN(run_tables)
+int main() { run_tables(); }

@@ -4,11 +4,10 @@
 // the Cheeger bounds, and the tmix estimate per lowerbound:<alpha> family.
 // This binary adds the sweep/alpha normalization and the Claim 17
 // illustration (the optimal cut avoids the cliques).
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench_common.hpp"
+#include "wcle/graph/families.hpp"
 #include "wcle/graph/lower_bound_graph.hpp"
 #include "wcle/graph/spectral.hpp"
 #include "wcle/support/table.hpp"
@@ -21,7 +20,7 @@ void run_tables() {
   const std::vector<CellResult> results = bench::run_builtin("e8");
   Table t({"alpha", "sweep_phi/alpha"});
   for (const CellResult& r : results) {
-    const double alpha = bench::alpha_of(r.cell.family);
+    const double alpha = lowerbound_alpha(r.cell.family);
     const auto phi = r.stats.extras.find("sweep_phi");
     if (phi == r.stats.extras.end()) continue;
     t.add_row({Table::num(alpha, 3), Table::num(phi->second.mean / alpha, 3)});
@@ -31,7 +30,7 @@ void run_tables() {
       "sweep_phi/alpha must stay within a constant band across the sweep");
 
   // Claim 17 illustration: the minimum whole-clique cut vs clique-splitting.
-  const int sc = bench::scale();
+  const int sc = default_bench_scale();
   const NodeId n = sc >= 2 ? 4000 : (sc == 1 ? 2000 : 800);
   Rng grng(0xE8010);
   const LowerBoundGraph lb = make_lower_bound_graph(n, 0.004, grng);
@@ -49,15 +48,6 @@ void run_tables() {
       "the whole-clique cut must be far cheaper than any clique-splitting cut");
 }
 
-void BM_ConductanceSweep(benchmark::State& state) {
-  Rng grng(0xE8000);
-  const LowerBoundGraph lb = make_lower_bound_graph(1000, 0.004, grng);
-  double phi = 0;
-  for (auto _ : state) phi = conductance_sweep(lb.graph, 1500);
-  state.counters["phi"] = phi;
-}
-BENCHMARK(BM_ConductanceSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-WCLE_BENCH_MAIN(run_tables)
+int main() { run_tables(); }

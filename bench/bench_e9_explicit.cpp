@@ -6,13 +6,9 @@
 // clique/torus sweep is the builtin spec "e9" (`wcle_cli sweep --spec=e9`,
 // columns election_messages / broadcast_messages); this binary derives the
 // bcast/elect ratio per cell.
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench_common.hpp"
-#include "wcle/core/explicit_election.hpp"
-#include "wcle/graph/generators.hpp"
 #include "wcle/support/table.hpp"
 
 namespace {
@@ -38,19 +34,6 @@ void run_tables() {
       "crossover estimate ~2^20 nodes");
 }
 
-void BM_ExplicitElection(benchmark::State& state) {
-  const Graph g = make_clique(static_cast<NodeId>(state.range(0)));
-  ElectionParams p;
-  std::uint64_t total = 0;
-  for (auto _ : state) {
-    p.seed += 1;
-    total = run_explicit_election(g, p).total_congest_messages();
-  }
-  state.counters["total_msgs"] = static_cast<double>(total);
-}
-BENCHMARK(BM_ExplicitElection)->Arg(512)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-WCLE_BENCH_MAIN(run_tables)
+int main() { run_tables(); }

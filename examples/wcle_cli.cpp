@@ -13,24 +13,19 @@
 //                   drop=0,0.05 crash=0,0.2 bandwidth=standard,wide  (grid)
 //   wcle_cli sweep  --family=hypercube --from=64 --to=1024 --trials=3
 //                   (doubling-sweep sugar for the grid engine)
-//   wcle_cli bench-baseline [--out=BENCH_sweep.json]   perf-trajectory seed
 //
 // Common options: --family=<see `wcle_cli list`> --n= --seed= --c1= --c2=
 //                 --wide --paper-schedule --source= --tmix= --budget=
 // Unrecognized options produce a warning on stderr (typo protection).
 #include <unistd.h>
 
-#include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <ctime>
 #include <fstream>
-#include <functional>
 #include <thread>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -620,215 +615,6 @@ int cmd_trace_export(const CliArgs& args) {
   return 0;
 }
 
-// Emits a fixed-scale core-election sweep as a google-benchmark-format JSON
-// file (BENCH_sweep.json): the CI perf-trajectory baseline. The workload is
-// pinned (independent of WCLE_BENCH_SCALE) so successive commits compare
-// like against like; times are wall/CPU per cell, counters carry the
-// deterministic message/round means.
-int cmd_bench_baseline(const CliArgs& args) {
-  const ExperimentSpec spec = parse_spec(
-      "name=bench_sweep algo=election family=expander n=128,256,512 "
-      "trials=3 base-seed=1000");
-  const std::string out_path = args.get("out", "");
-  std::ofstream file;
-  if (!out_path.empty()) {
-    file.open(out_path);
-    if (!file) throw std::runtime_error("cannot open --out=" + out_path);
-  }
-  std::ostream& out = out_path.empty() ? std::cout : file;
-
-  const std::vector<SweepCell> cells = expand_cells(spec);
-  out << "{\"context\":{\"executable\":\"wcle_cli\",\"num_cpus\":"
-      << std::thread::hardware_concurrency()
-      << ",\"library_build_type\":\"release\",\"caches\":[]},"
-      << "\"benchmarks\":[";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const SweepCell& cell = cells[i];
-    const Graph g = make_family(cell.family,
-                                static_cast<NodeId>(cell.requested_n),
-                                spec.graph_seed);
-    const auto wall0 = std::chrono::steady_clock::now();
-    const std::clock_t cpu0 = std::clock();
-    const TrialStats stats =
-        run_trials(AlgorithmRegistry::instance().at(cell.algorithm), g,
-                   cell.options, spec.trials, spec.base_seed, /*threads=*/1);
-    const double cpu_ns = 1e9 *
-                          static_cast<double>(std::clock() - cpu0) /
-                          static_cast<double>(CLOCKS_PER_SEC) /
-                          spec.trials;
-    const double wall_ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - wall0)
-                .count()) /
-        spec.trials;
-    const std::string name = "sweep/" + cell.algorithm + "/" + cell.family +
-                             "/" + std::to_string(cell.requested_n);
-    out << (i ? "," : "") << "{\"name\":\"" << name << "\",\"run_name\":\""
-        << name << "\",\"run_type\":\"iteration\",\"repetitions\":1,"
-        << "\"repetition_index\":0,\"threads\":1,\"iterations\":"
-        << spec.trials << ",\"real_time\":" << json_number(wall_ns)
-        << ",\"cpu_time\":" << json_number(cpu_ns)
-        << ",\"time_unit\":\"ns\",\"congest_messages\":"
-        << json_number(stats.congest_messages.mean)
-        << ",\"rounds\":" << json_number(stats.rounds.mean)
-        << ",\"success_rate\":" << json_number(stats.success_rate) << "}";
-  }
-  out << "]}\n";
-  out.flush();
-  return 0;
-}
-
-// Emits the data-plane perf trajectory as google-benchmark-format JSON
-// (BENCH_dataplane.json): representative e1 + e13 + e14 cells at their
-// scale-1 sizes, timed in-process (no startup or graph-build noise), plus
-// the traced e1 smoke sweep the CI regression guard replays. The workload is
-// pinned (independent of WCLE_BENCH_SCALE) so successive commits compare
-// like against like; counters carry the deterministic message/round means,
-// which double as a bit-identity check between recordings.
-int cmd_bench_dataplane(const CliArgs& args) {
-  struct Workload {
-    const char* name;
-    const char* spec;
-  };
-  // One sweep cell each. e13/election/expander/256 is the headline cell the
-  // data-plane rebuild is measured on.
-  const Workload cells[] = {
-      {"dataplane/e1/election/expander/1024",
-       "algo=election family=expander n=1024 trials=3 base-seed=1000"},
-      {"dataplane/e13/election/expander/256",
-       "algo=election family=expander n=256 trials=3 base-seed=1000"},
-      {"dataplane/e13/election/clique/256",
-       "algo=election family=clique n=256 trials=3 base-seed=1000"},
-      {"dataplane/e13/election/hypercube/256",
-       "algo=election family=hypercube n=256 trials=3 base-seed=1000"},
-      {"dataplane/e14/election/expander/128/faults",
-       "algo=election family=expander n=128 trials=2 crash=0.1 linkfail=0.05 "
-       "adversary=contenders max-length=256 max-rounds=4000 base-seed=1000"},
-  };
-
-  const std::string out_path = args.get("out", "");
-  std::ofstream file;
-  if (!out_path.empty()) {
-    file.open(out_path);
-    if (!file) throw std::runtime_error("cannot open --out=" + out_path);
-  }
-  std::ostream& out = out_path.empty() ? std::cout : file;
-
-  out << "{\"context\":{\"executable\":\"wcle_cli\",\"num_cpus\":"
-      << std::thread::hardware_concurrency()
-      << ",\"library_build_type\":\"release\",\"caches\":[]},"
-      << "\"benchmarks\":[";
-  bool first_entry = true;
-  const auto emit = [&](const std::string& name, std::uint64_t iterations,
-                        double wall_ns, double cpu_ns,
-                        const std::string& extra) {
-    out << (first_entry ? "" : ",") << "{\"name\":\"" << name
-        << "\",\"run_name\":\"" << name
-        << "\",\"run_type\":\"iteration\",\"repetitions\":1,"
-        << "\"repetition_index\":0,\"threads\":1,\"iterations\":" << iterations
-        << ",\"real_time\":" << json_number(wall_ns)
-        << ",\"cpu_time\":" << json_number(cpu_ns)
-        << ",\"time_unit\":\"ns\"" << extra << "}";
-    first_entry = false;
-  };
-  const auto timed = [](const std::function<void()>& body, double& wall_ns,
-                        double& cpu_ns) {
-    const auto wall0 = std::chrono::steady_clock::now();
-    const std::clock_t cpu0 = std::clock();
-    body();
-    cpu_ns = 1e9 * static_cast<double>(std::clock() - cpu0) /
-             static_cast<double>(CLOCKS_PER_SEC);
-    wall_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wall0)
-            .count());
-  };
-
-  for (const Workload& w : cells) {
-    const ExperimentSpec spec = parse_spec(w.spec);
-    const std::vector<SweepCell> expanded = expand_cells(spec);
-    if (expanded.size() != 1)
-      throw std::logic_error("bench-dataplane: workloads must be one cell");
-    const SweepCell& cell = expanded.front();
-    const Graph g = make_family(cell.family,
-                                static_cast<NodeId>(cell.requested_n),
-                                spec.graph_seed);
-    TrialStats stats;
-    double wall_ns = 0, cpu_ns = 0;
-    timed(
-        [&] {
-          stats = run_trials(AlgorithmRegistry::instance().at(cell.algorithm),
-                             g, cell.options, spec.trials, spec.base_seed,
-                             /*threads=*/1);
-        },
-        wall_ns, cpu_ns);
-    std::ostringstream extra;
-    extra << ",\"congest_messages\":"
-          << json_number(stats.congest_messages.mean)
-          << ",\"rounds\":" << json_number(stats.rounds.mean)
-          << ",\"success_rate\":" << json_number(stats.success_rate);
-    emit(w.name, spec.trials, wall_ns / spec.trials, cpu_ns / spec.trials,
-         extra.str());
-  }
-
-  // The traced e1 smoke sweep (scale 0) — the workload the CI guard times
-  // against the recorded baseline. Includes binary trace serialization.
-  // Reported as one iteration: real_time is the whole-sweep wall time.
-  {
-    const ExperimentSpec smoke = builtin_experiment("e1", /*scale=*/0);
-    double wall_ns = 0, cpu_ns = 0;
-    std::uint64_t trace_bytes = 0;
-    timed(
-        [&] {
-          std::ostringstream trace_buf;
-          const std::unique_ptr<TraceWriter> writer =
-              make_trace_writer(TraceFormat::kBinary, trace_buf);
-          writer->header({kTraceVersion, "bench", smoke.to_string()});
-          run_sweep(smoke, /*sinks=*/{}, /*threads=*/1, writer.get());
-          trace_bytes = static_cast<std::uint64_t>(trace_buf.str().size());
-        },
-        wall_ns, cpu_ns);
-    std::ostringstream extra;
-    extra << ",\"trace_bytes\":" << trace_bytes;
-    emit("dataplane/smoke/e1_traced", /*iterations=*/1, wall_ns, cpu_ns,
-         extra.str());
-  }
-
-  // The same smoke sweep with per-walk token tracing (--trace-walks=1): not
-  // guarded, but recorded so the hop-record overhead stays visible next to
-  // the walks-off cost the CI guard pins. The walks-off guard above is the
-  // one that catches a hot-path regression from the hop check itself.
-  {
-    ExperimentSpec smoke = builtin_experiment("e1", /*scale=*/0);
-    smoke.knobs["trace-walks"] = {"1"};
-    double wall_ns = 0, cpu_ns = 0;
-    std::uint64_t trace_bytes = 0, hop_records = 0;
-    std::string bytes;
-    timed(
-        [&] {
-          std::ostringstream trace_buf;
-          const std::unique_ptr<TraceWriter> writer =
-              make_trace_writer(TraceFormat::kBinary, trace_buf);
-          writer->header({kTraceVersion, "bench", smoke.to_string()});
-          run_sweep(smoke, /*sinks=*/{}, /*threads=*/1, writer.get());
-          bytes = trace_buf.str();
-        },
-        wall_ns, cpu_ns);
-    trace_bytes = static_cast<std::uint64_t>(bytes.size());
-    const TraceFileData data = parse_trace(bytes);
-    for (const TraceRunData& run : data.runs) hop_records += run.hops.size();
-    std::ostringstream extra;
-    extra << ",\"trace_bytes\":" << trace_bytes
-          << ",\"walk_hop_records\":" << hop_records;
-    emit("dataplane/smoke/e1_traced_walks", /*iterations=*/1, wall_ns, cpu_ns,
-         extra.str());
-  }
-  out << "]}\n";
-  out.flush();
-  return 0;
-}
-
 void warn_unconsumed(const CliArgs& args);
 
 // The daemon's drain trigger must be async-signal-safe: the handler writes
@@ -912,10 +698,6 @@ void usage() {
       "                [--format=text|csv]  (per-walk path/lifetime stats)\n"
       "            trace-export --trace=FILE --out=FILE.json\n"
       "                (Chrome trace-event JSON for Perfetto)\n"
-      "  bench:    bench-baseline [--out=BENCH_sweep.json]\n"
-      "            (fixed-scale election sweep, google-benchmark JSON)\n"
-      "            bench-dataplane [--out=BENCH_dataplane.json]\n"
-      "            (hot-path trajectory: e1/e13/e14 cells + traced e1 smoke)\n"
       "  common:   --family=<see list> --n=<nodes> --seed=<u64>\n"
       "            --c1= --c2= --wide --paper-schedule --source=\n"
       "            --tmix= --tmix-mult= --budget= --value-bits=\n"
@@ -948,9 +730,6 @@ int main(int argc, char** argv) {
     else if (args.command() == "trace-walks-summary")
       rc = cmd_trace_walks_summary(args);
     else if (args.command() == "trace-export") rc = cmd_trace_export(args);
-    else if (args.command() == "bench-baseline") rc = cmd_bench_baseline(args);
-    else if (args.command() == "bench-dataplane")
-      rc = cmd_bench_dataplane(args);
     else {
       usage();
       return args.command().empty() ? 0 : 2;

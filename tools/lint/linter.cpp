@@ -1,12 +1,10 @@
 #include "lint/linter.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "lint/callgraph.hpp"
@@ -151,186 +149,6 @@ FileAnalysis analyze_source(const std::string& display,
   return a;
 }
 
-// ------------------------------------------------------------------ cache
-
-std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string cache_key(const std::string& display, const std::string& source) {
-  std::uint64_t h = 1469598103934665603ULL;
-  h = fnv1a(kLintVersion, h);
-  h = fnv1a(display, h);
-  h = fnv1a(source, h);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return std::string(buf) + ".wlc";
-}
-
-/// One record per line: a tag, fixed numeric/identifier fields, and — when
-/// the record carries free text — a '\t' followed by the text to the end of
-/// the line (diagnostic messages and reasons never contain newlines).
-std::string serialize_analysis(const FileAnalysis& a) {
-  std::ostringstream os;
-  os << "wcle_lint_cache " << kLintVersion << "\n";
-  for (const Diagnostic& d : a.raw)
-    os << "D " << d.line << " " << d.col << " " << d.rule << "\t" << d.message
-       << "\n";
-  for (const Suppression& s : a.sups)
-    os << "S " << s.comment_line << " " << (s.trailing ? 1 : 0) << " "
-       << s.rule << "\t" << s.reason << "\n";
-  for (const Region& r : a.regions)
-    os << "R " << r.begin_line << " " << r.end_line << "\n";
-  for (const IncludeDirective& inc : a.index.includes)
-    os << "I " << inc.line << "\t" << inc.path << "\n";
-  for (const FunctionInfo& fn : a.index.functions) {
-    os << "F " << fn.line << " " << fn.name << " "
-       << (fn.qualifier.empty() ? "-" : fn.qualifier) << "\n";
-    for (const CallSite& c : fn.calls)
-      os << "C " << c.line << " " << c.col << " " << (c.member ? 1 : 0) << " "
-         << (c.in_no_alloc_region ? 1 : 0) << " " << c.callee << " "
-         << (c.qualifier.empty() ? "-" : c.qualifier) << "\n";
-    for (const AllocSite& s : fn.alloc_sites)
-      os << "A " << s.line << " " << s.col << " " << (s.guarded ? 1 : 0)
-         << "\t" << s.what << "\n";
-  }
-  return os.str();
-}
-
-bool deserialize_analysis(const std::string& text, const std::string& display,
-                          FileAnalysis& a) {
-  // Hand-rolled scanner: this runs once per cache hit over ~90 files, so the
-  // warm path must not pay istringstream construction per record.
-  const char* p = text.data();
-  const char* const end = p + text.size();
-  auto line_end = [&](const char* q) {
-    while (q < end && *q != '\n') ++q;
-    return q;
-  };
-  auto parse_u32 = [](const char*& q, const char* stop,
-                      std::uint32_t& v) -> bool {
-    if (q >= stop || *q < '0' || *q > '9') return false;
-    std::uint64_t acc = 0;
-    while (q < stop && *q >= '0' && *q <= '9') acc = acc * 10 + (*q++ - '0');
-    if (q < stop && *q == ' ') ++q;
-    v = static_cast<std::uint32_t>(acc);
-    return true;
-  };
-  auto parse_word = [](const char*& q, const char* stop,
-                       std::string& w) -> bool {
-    const char* s = q;
-    while (q < stop && *q != ' ' && *q != '\t') ++q;
-    if (q == s) return false;
-    w.assign(s, q);
-    if (q < stop && *q == ' ') ++q;
-    return true;
-  };
-
-  const std::string header = std::string("wcle_lint_cache ") + kLintVersion;
-  const char* eol = line_end(p);
-  if (static_cast<std::size_t>(eol - p) != header.size() ||
-      !std::equal(header.begin(), header.end(), p))
-    return false;
-  p = eol < end ? eol + 1 : end;
-
-  a.display = display;
-  FunctionInfo* fn = nullptr;
-  while (p < end) {
-    eol = line_end(p);
-    if (eol - p < 2 || p[1] != ' ') return false;
-    const char tag = p[0];
-    const char* q = p + 2;
-    // Fixed fields stop at the first '\t'; free text follows it.
-    const char* tab = q;
-    while (tab < eol && *tab != '\t') ++tab;
-    auto text_field = [&]() {
-      return tab < eol ? std::string(tab + 1, eol) : std::string();
-    };
-    bool ok = true;
-    switch (tag) {
-      case 'D': {
-        Diagnostic d;
-        d.file = display;
-        ok = parse_u32(q, tab, d.line) && parse_u32(q, tab, d.col) &&
-             parse_word(q, tab, d.rule);
-        d.message = text_field();
-        if (ok) a.raw.push_back(std::move(d));
-        break;
-      }
-      case 'S': {
-        Suppression s;
-        std::uint32_t trailing = 0;
-        ok = parse_u32(q, tab, s.comment_line) &&
-             parse_u32(q, tab, trailing) && parse_word(q, tab, s.rule);
-        s.trailing = trailing != 0;
-        s.reason = text_field();
-        if (ok) a.sups.push_back(std::move(s));
-        break;
-      }
-      case 'R': {
-        Region r;
-        ok = parse_u32(q, tab, r.begin_line) && parse_u32(q, tab, r.end_line);
-        if (ok) a.regions.push_back(r);
-        break;
-      }
-      case 'I': {
-        IncludeDirective inc;
-        ok = parse_u32(q, tab, inc.line);
-        inc.path = text_field();
-        if (ok) a.index.includes.push_back(std::move(inc));
-        break;
-      }
-      case 'F': {
-        FunctionInfo f;
-        ok = parse_u32(q, tab, f.line) && parse_word(q, tab, f.name) &&
-             parse_word(q, tab, f.qualifier);
-        if (f.qualifier == "-") f.qualifier.clear();
-        f.display =
-            f.qualifier.empty() ? f.name : f.qualifier + "::" + f.name;
-        if (!ok) return false;
-        a.index.functions.push_back(std::move(f));
-        fn = &a.index.functions.back();
-        break;
-      }
-      case 'C': {
-        if (fn == nullptr) return false;
-        CallSite c;
-        std::uint32_t member = 0, inreg = 0;
-        ok = parse_u32(q, tab, c.line) && parse_u32(q, tab, c.col) &&
-             parse_u32(q, tab, member) && parse_u32(q, tab, inreg) &&
-             parse_word(q, tab, c.callee) && parse_word(q, tab, c.qualifier);
-        c.member = member != 0;
-        c.in_no_alloc_region = inreg != 0;
-        if (c.qualifier == "-") c.qualifier.clear();
-        if (ok) fn->calls.push_back(std::move(c));
-        break;
-      }
-      case 'A': {
-        if (fn == nullptr) return false;
-        AllocSite s;
-        std::uint32_t guarded = 0;
-        ok = parse_u32(q, tab, s.line) && parse_u32(q, tab, s.col) &&
-             parse_u32(q, tab, guarded);
-        s.guarded = guarded != 0;
-        s.what = text_field();
-        if (ok) fn->alloc_sites.push_back(std::move(s));
-        break;
-      }
-      default:
-        return false;
-    }
-    if (!ok) return false;
-    p = eol < end ? eol + 1 : end;
-  }
-  a.index.path = display;
-  return true;
-}
-
 // ------------------------------------------------------------------ merge
 
 /// Combines per-file analyses into the final report: interprocedural rules,
@@ -440,9 +258,6 @@ void merge(std::vector<FileAnalysis>& analyses, const LintOptions& options,
         // Without a layer config the layering rule never runs, so its
         // suppressions cannot prove themselves useful — not staleness.
         if (s.rule == "layering" && options.layers_file.empty()) continue;
-        // On a partial file set the call graph is incomplete: a transitive
-        // suppression can only be judged stale by a whole-tree run.
-        if (s.rule == "no-alloc-transitive" && options.partial) continue;
         report.diagnostics.push_back(
             {analyses[i].display, s.comment_line, 1, "directive",
              "stale suppression: '" + s.rule +
@@ -498,7 +313,7 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   LintReport report;
 
   // Collect the worklist first, sorted, so reports are stable regardless of
-  // directory-entry order or thread scheduling.
+  // directory-entry order.
   std::vector<std::string> files;
   for (const std::string& p : paths) {
     std::error_code ec;
@@ -517,84 +332,19 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  const bool use_cache = !options.cache_dir.empty();
-  if (use_cache) {
-    std::error_code ec;
-    fs::create_directories(options.cache_dir, ec);
-    if (ec)
-      report.errors.push_back("cannot create cache directory '" +
-                              options.cache_dir + "'");
-  }
-
-  std::vector<FileAnalysis> analyses(files.size());
-  std::vector<char> ok(files.size(), 0);
-  std::vector<char> from_cache(files.size(), 0);
-  std::vector<std::string> io_errors(files.size());
-
-  auto work = [&](std::size_t i) {
-    std::ifstream in(files[i], std::ios::binary);
+  std::vector<FileAnalysis> analyses;
+  analyses.reserve(files.size());
+  for (const std::string& file : files) {
+    std::ifstream in(file, std::ios::binary);
     if (!in) {
-      io_errors[i] = "cannot open file '" + files[i] + "'";
-      return;
+      report.errors.push_back("cannot open file '" + file + "'");
+      continue;
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string source = buf.str();
-
-    std::string entry_path;
-    if (use_cache) {
-      entry_path = options.cache_dir + "/" + cache_key(files[i], source);
-      std::ifstream centry(entry_path, std::ios::binary);
-      if (centry) {
-        std::ostringstream cbuf;
-        cbuf << centry.rdbuf();
-        FileAnalysis cached;
-        if (deserialize_analysis(cbuf.str(), files[i], cached)) {
-          analyses[i] = std::move(cached);
-          ok[i] = 1;
-          from_cache[i] = 1;
-          return;
-        }
-      }
-    }
-    analyses[i] = analyze_source(files[i], source);
-    ok[i] = 1;
-    if (use_cache && !entry_path.empty()) {
-      std::ofstream centry(entry_path, std::ios::binary | std::ios::trunc);
-      if (centry) centry << serialize_analysis(analyses[i]);
-    }
-  };
-
-  unsigned jobs = options.jobs != 0 ? options.jobs
-                                    : std::thread::hardware_concurrency();
-  if (jobs == 0) jobs = 1;
-  if (files.size() < jobs) jobs = static_cast<unsigned>(files.size());
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < files.size(); ++i) work(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t)
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < files.size();
-             i = next.fetch_add(1))
-          work(i);
-      });
-    for (std::thread& t : pool) t.join();
+    analyses.push_back(analyze_source(file, buf.str()));
   }
-
-  std::vector<FileAnalysis> good;
-  good.reserve(files.size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    if (ok[i]) {
-      if (from_cache[i]) ++report.cache_hits;
-      good.push_back(std::move(analyses[i]));
-    } else {
-      report.errors.push_back(io_errors[i]);
-    }
-  }
-  merge(good, options, report);
+  merge(analyses, options, report);
   return report;
 }
 

@@ -1,6 +1,6 @@
 // wcle_lint driver: directive parsing, the per-file lexical pass, the
-// whole-tree interprocedural passes (transitive no-alloc, layering), the
-// incremental cache, suppression filtering, and report formatting.
+// whole-tree interprocedural passes (transitive no-alloc, layering),
+// suppression filtering, and report formatting.
 //
 // Directive syntax (inside a // comment; block comments never carry
 // directives, and string literals never reach the parser):
@@ -19,12 +19,10 @@
 // comments.
 //
 // Pipeline: each file is lexed, directive-parsed, rule-checked, and indexed
-// independently (in parallel when options.jobs > 1); per-file results are
-// cached keyed by content hash when options.cache_dir is set. The merge
-// stage then runs the interprocedural rules over every file's index at
-// once, applies the capacity-guard exemption to lexical no-alloc findings,
-// matches suppressions, and reports stale ones. Output order is
-// deterministic regardless of thread count or cache state.
+// independently, in sorted path order. The merge stage then runs the
+// interprocedural rules over every file's index at once, applies the
+// capacity-guard exemption to lexical no-alloc findings, matches
+// suppressions, and reports stale ones. Output order is deterministic.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +35,7 @@
 
 namespace wcle_lint {
 
-/// Tool version: stamped into reports and the cache key (bumping it
-/// invalidates every cache entry, which is exactly right after a rule
-/// change).
+/// Tool version: stamped into reports only.
 extern const char kLintVersion[];
 
 /// A diagnostic that was silenced by an `-ok(reason)` annotation. Kept in
@@ -54,17 +50,9 @@ struct SuppressedDiagnostic {
 struct LintOptions {
   /// Restrict to these rules; empty = all rules.
   std::vector<std::string> rules;
-  /// Worker threads for the per-file pass; 0 = hardware concurrency.
-  unsigned jobs = 0;
-  /// Per-file result cache directory; empty disables caching.
-  std::string cache_dir;
   /// Layering DAG config (tools/lint/layers.txt); empty disables the
   /// layering rule.
   std::string layers_file;
-  /// The file set is a subset of the tree (--changed): the call graph is
-  /// incomplete, so a no-alloc-transitive suppression whose chain runs
-  /// through unseen files must not be reported stale.
-  bool partial = false;
 };
 
 struct LintReport {
@@ -74,7 +62,6 @@ struct LintReport {
   /// not code findings and map to exit code 2, never to a "clean" pass.
   std::vector<std::string> errors;
   std::uint64_t files_scanned = 0;
-  std::uint64_t cache_hits = 0;
 
   bool clean() const { return diagnostics.empty() && errors.empty(); }
 };

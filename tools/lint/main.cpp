@@ -2,15 +2,11 @@
 //
 //   wcle_lint --root=src [--root=DIR]... [FILE...]
 //             [--format=text|json|sarif] [--out=FILE] [--sarif=FILE]
-//             [--rule=NAME]... [--cache[=DIR]] [--jobs=N]
-//             [--changed[=BASE]] [--layers=FILE] [--list-rules]
+//             [--rule=NAME]... [--layers=FILE] [--list-rules]
 //
 // Exit codes: 0 = clean, 1 = diagnostics found, 2 = usage or I/O error
 // (including a --root that does not exist: a missing tree is never a clean
 // pass).
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -30,17 +26,10 @@ void usage(std::ostream& os) {
         "options:\n"
         "  --root=DIR       lint every .cpp/.cc/.hpp/.h under DIR "
         "(repeatable)\n"
-        "  --changed[=BASE] lint only files modified vs. git BASE "
-        "(default HEAD);\n"
-        "                   any --root flags become scope filters\n"
         "  --format=FMT     text (default), json, or sarif\n"
         "  --out=FILE       write the report to FILE instead of stdout\n"
         "  --sarif=FILE     additionally write a SARIF 2.1.0 log to FILE\n"
         "  --rule=NAME      restrict to a rule (repeatable; default: all)\n"
-        "  --cache[=DIR]    per-file result cache "
-        "(default build/.wcle_lint_cache)\n"
-        "  --jobs=N         worker threads (default: hardware "
-        "concurrency)\n"
         "  --layers=FILE    layering DAG config "
         "(default tools/lint/layers.txt if present)\n"
         "  --list-rules     print every rule with its description and exit\n"
@@ -48,44 +37,6 @@ void usage(std::ostream& os) {
         "Suppressions: // wcle-lint: <rule>-ok(reason)   (same or next "
         "line)\n"
         "No-alloc regions: // wcle-lint: begin-no-alloc .. end-no-alloc\n";
-}
-
-/// `git diff --name-only <base> --` filtered to lintable extensions.
-/// Returns false (with a message on stderr) when git itself fails.
-bool changed_files(const std::string& base, std::vector<std::string>& out) {
-  const std::string cmd = "git diff --name-only " + base + " -- 2>/dev/null";
-  std::FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) {
-    std::cerr << "wcle_lint: cannot run git for --changed\n";
-    return false;
-  }
-  char buf[4096];
-  std::string acc;
-  while (std::fgets(buf, sizeof buf, pipe) != nullptr) acc += buf;
-  const int status = pclose(pipe);
-  if (status != 0) {
-    std::cerr << "wcle_lint: 'git diff --name-only " << base
-              << "' failed (not a git checkout, or bad base?)\n";
-    return false;
-  }
-  std::size_t pos = 0;
-  while (pos < acc.size()) {
-    std::size_t nl = acc.find('\n', pos);
-    if (nl == std::string::npos) nl = acc.size();
-    const std::string line = acc.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    const std::size_t dot = line.rfind('.');
-    if (dot == std::string::npos) continue;
-    const std::string ext = line.substr(dot);
-    if (ext == ".cpp" || ext == ".cc" || ext == ".cxx" || ext == ".hpp" ||
-        ext == ".h") {
-      // Deleted files show up in the diff; lint only what still exists.
-      std::ifstream probe(line);
-      if (probe) out.push_back(line);
-    }
-  }
-  return true;
 }
 
 bool file_exists(const std::string& p) {
@@ -102,8 +53,6 @@ int main(int argc, char** argv) {
   std::string format = "text";
   std::string out_path;
   std::string sarif_path;
-  bool changed = false;
-  std::string changed_base = "HEAD";
   bool layers_explicit = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -122,11 +71,6 @@ int main(int argc, char** argv) {
       roots.push_back(value("--root="));
     } else if (arg == "--root" && i + 1 < argc) {
       roots.push_back(argv[++i]);
-    } else if (arg == "--changed") {
-      changed = true;
-    } else if (arg.rfind("--changed=", 0) == 0) {
-      changed = true;
-      changed_base = value("--changed=");
     } else if (arg.rfind("--format=", 0) == 0) {
       format = value("--format=");
       if (format != "text" && format != "json" && format != "sarif") {
@@ -137,14 +81,6 @@ int main(int argc, char** argv) {
       out_path = value("--out=");
     } else if (arg.rfind("--sarif=", 0) == 0) {
       sarif_path = value("--sarif=");
-    } else if (arg == "--cache") {
-      options.cache_dir = "build/.wcle_lint_cache";
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      options.cache_dir = value("--cache=");
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs =
-          static_cast<unsigned>(std::strtoul(value("--jobs=").c_str(),
-                                             nullptr, 10));
     } else if (arg.rfind("--layers=", 0) == 0) {
       options.layers_file = value("--layers=");
       layers_explicit = true;
@@ -168,52 +104,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (changed) {
-    // In --changed mode the roots scope the diff instead of being walked:
-    // `--changed --root=src` lints only the changed files under src/.
-    std::vector<std::string> diff;
-    if (!changed_files(changed_base, diff)) return 2;
-    options.partial = true;
-    for (const std::string& file : diff) {
-      bool in_scope = roots.empty();
-      for (const std::string& root : roots) {
-        const std::string prefix =
-            root.back() == '/' ? root : root + "/";
-        if (file.rfind(prefix, 0) == 0 || file == root) in_scope = true;
-      }
-      if (in_scope) paths.push_back(file);
-    }
-    if (paths.empty()) {
-      std::cout << "wcle_lint: no lintable files changed vs. " << changed_base
-                << "\n";
-      return 0;
-    }
-  } else {
-    paths.insert(paths.end(), roots.begin(), roots.end());
-  }
+  paths.insert(paths.end(), roots.begin(), roots.end());
   if (paths.empty()) {
     std::cerr << "wcle_lint: no --root or files given\n";
     usage(std::cerr);
     return 2;
   }
+  // An explicit --layers= (empty) disables the rule.
   if (!layers_explicit && file_exists("tools/lint/layers.txt"))
     options.layers_file = "tools/lint/layers.txt";
-  if (layers_explicit && options.layers_file.empty())
-    options.layers_file.clear();  // --layers= disables the rule
 
-  const auto t0 = std::chrono::steady_clock::now();
   const wcle_lint::LintReport report = wcle_lint::lint_paths(paths, options);
-  const auto t1 = std::chrono::steady_clock::now();
-  if (!options.cache_dir.empty()) {
-    const auto ms =
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count() /
-        1000.0;
-    std::fprintf(stderr,
-                 "wcle_lint: %llu file(s), %llu cache hit(s), %.1f ms\n",
-                 static_cast<unsigned long long>(report.files_scanned),
-                 static_cast<unsigned long long>(report.cache_hits), ms);
-  }
 
   for (const std::string& e : report.errors)
     std::cerr << "wcle_lint: error: " << e << "\n";
