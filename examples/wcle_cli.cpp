@@ -312,7 +312,7 @@ int cmd_trials(const CliArgs& args) {
   row("link-dropped messages", s.link_dropped_messages);
   row("agreement", s.agreement);
   // Data-plane pool gauges (obs): footprint and high-water occupancy of the
-  // shared message pool and the IdArena across the trials.
+  // message pool and the id pool (WordPool) across the trials.
   row("pool msg slots", s.pool_msg_slots);
   row("pool msg live high", s.pool_msg_live_high);
   row("pool id blocks", s.pool_id_blocks);

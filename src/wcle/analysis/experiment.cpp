@@ -2,39 +2,10 @@
 
 #include <cmath>
 
-#include "wcle/api/registry.hpp"
 #include "wcle/graph/spectral.hpp"
 #include "wcle/support/rng.hpp"
 
 namespace wcle {
-
-ElectionTrialStats run_election_trials(const Graph& g, ElectionParams params,
-                                       int trials, std::uint64_t base_seed) {
-  RunOptions options;
-  options.params = params;
-  // threads=1: legacy callers include timed bench loops whose wall-clock
-  // numbers must not silently change with core count; the parallel fan-out
-  // is opt-in through run_trials directly.
-  const TrialStats s =
-      run_trials(AlgorithmRegistry::instance().at("election"), g, options,
-                 trials, base_seed, /*threads=*/1);
-  ElectionTrialStats stats;
-  stats.trials = trials;
-  stats.success_rate = s.success_rate;
-  stats.zero_leader_rate = s.zero_leader_rate;
-  stats.multi_leader_rate = s.multi_leader_rate;
-  stats.congest_messages = s.congest_messages;
-  stats.rounds = s.rounds;
-  const auto extra = [&s](const char* key) {
-    const auto it = s.extras.find(key);
-    return it == s.extras.end() ? Summary{} : it->second;
-  };
-  stats.scheduled_rounds = extra("scheduled_rounds");
-  stats.final_length = extra("final_length");
-  stats.phases = extra("phases");
-  stats.contenders = extra("contenders");
-  return stats;
-}
 
 GraphProfile profile_graph(const Graph& g, std::uint32_t mix_samples,
                            std::uint64_t max_t) {

@@ -1,44 +1,14 @@
-// Experiment harness: repeated seeded trials with aggregation, plus the graph
-// characterization (tmix, conductance bounds) every bench row reports next to
-// measured costs so the paper's shapes can be checked directly.
+// Experiment helpers: the graph characterization (tmix, conductance bounds)
+// every bench row reports next to measured costs, and the theorem envelopes
+// that normalize them, so the paper's shapes can be checked directly.
+// Repeated seeded trials go through run_trials (wcle/api/trials.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <vector>
 
-#include "wcle/api/trials.hpp"
-#include "wcle/core/leader_election.hpp"
-#include "wcle/core/params.hpp"
 #include "wcle/graph/graph.hpp"
-#include "wcle/support/stats.hpp"
 
 namespace wcle {
-
-/// Aggregates of repeated election trials on one graph. Legacy schema kept
-/// for the core algorithm's callers; new code should prefer the uniform
-/// `TrialStats` from run_trials (wcle/api/trials.hpp), of which this is a
-/// field-for-field projection.
-struct ElectionTrialStats {
-  int trials = 0;
-  double success_rate = 0.0;   ///< fraction electing exactly one leader
-  double zero_leader_rate = 0.0;
-  double multi_leader_rate = 0.0;
-  Summary congest_messages;
-  Summary rounds;
-  Summary scheduled_rounds;
-  Summary final_length;        ///< stopping t_u
-  Summary phases;
-  Summary contenders;
-};
-
-/// Runs `trials` elections with seeds base_seed+i and aggregates. Implemented
-/// as run_trials(registry "election", ...) — one trial engine for every
-/// algorithm — with the multi-threaded seed fan-out that engine provides.
-ElectionTrialStats run_election_trials(const Graph& g, ElectionParams params,
-                                       int trials,
-                                       std::uint64_t base_seed = 1000);
 
 /// Graph characterization for bench rows.
 struct GraphProfile {

@@ -1,14 +1,11 @@
 #include "wcle/baselines/known_tmix.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 #include "wcle/api/algorithm.hpp"
 #include "wcle/graph/spectral.hpp"
-#include "wcle/support/rng.hpp"
-
-#include <algorithm>
-#include <stdexcept>
-
 #include "wcle/rw/walk_engine.hpp"
 #include "wcle/sim/network.hpp"
 #include "wcle/support/rng.hpp"

@@ -1,13 +1,11 @@
 #include "wcle/core/leader_election.hpp"
 
-#include <memory>
-
-#include "wcle/api/algorithm.hpp"
-
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <stdexcept>
 
+#include "wcle/api/algorithm.hpp"
 #include "wcle/rw/walk_engine.hpp"
 #include "wcle/sim/network.hpp"
 #include "wcle/support/rng.hpp"

@@ -55,78 +55,6 @@ void ReplyPayload::add_id(std::uint64_t id) {
   if (it == ids.end() || *it != id) ids.insert(it, id);
 }
 
-// ---------------------------------------------------------------- WordPool
-
-std::uint32_t WordPool::size_class(std::uint32_t n) noexcept {
-  return ceil_log2(n > 1 ? n : 1);
-}
-
-std::uint32_t WordPool::alloc(std::uint32_t n) {
-  const std::uint32_t cls = size_class(n);
-  const std::uint32_t cap = 1u << cls;
-  if (free_head_[cls] != kNull) {
-    const std::uint32_t h = free_head_[cls];
-    free_head_[cls] = static_cast<std::uint32_t>(*data(h));
-    return h;
-  }
-  if (cap > kChunkWords) {
-    // Oversized: a dedicated chunk at offset 0. Never bump-reused; rewind
-    // hands the slot back through its class free list instead.
-    if (chunks_.size() > (kNull >> kChunkBits))
-      throw std::length_error("WordPool: chunk index space exhausted");
-    const std::uint32_t h = static_cast<std::uint32_t>(chunks_.size())
-                            << kChunkBits;
-    // wcle-lint: no-alloc-ok(oversized id set; warms once, recycled forever)
-    chunks_.push_back(std::make_unique<std::uint64_t[]>(cap));
-    // wcle-lint: no-alloc-ok(one entry per oversized slot ever created)
-    dedicated_.push_back({h, cls});
-    return h;
-  }
-  if (bump_at_ < bump_order_.size() && cur_used_ + cap > kChunkWords) {
-    ++bump_at_;
-    cur_used_ = 0;
-  }
-  if (bump_at_ == bump_order_.size()) {
-    if (chunks_.size() > (kNull >> kChunkBits))
-      throw std::length_error("WordPool: chunk index space exhausted");
-    bump_order_.push_back(static_cast<std::uint32_t>(chunks_.size()));
-    chunks_.push_back(std::make_unique<std::uint64_t[]>(kChunkWords));
-    cur_used_ = 0;
-  }
-  const std::uint32_t h =
-      (bump_order_[bump_at_] << kChunkBits) | cur_used_;
-  cur_used_ += cap;
-  return h;
-}
-
-void WordPool::free(std::uint32_t h, std::uint32_t n) {
-  // The class is recomputed from n, so n must be the length the slot was
-  // allocated with (callers allocate every set at its final length).
-  const std::uint32_t cls = size_class(n);
-  *data(h) = free_head_[cls];
-  free_head_[cls] = h;
-}
-
-void WordPool::rewind() {
-  for (std::uint32_t c = 0; c < kClasses; ++c) free_head_[c] = kNull;
-  bump_at_ = 0;
-  cur_used_ = 0;
-  for (const auto& [h, cls] : dedicated_) {
-    *data(h) = free_head_[cls];
-    free_head_[cls] = h;
-  }
-}
-
-std::uint64_t WordPool::memory_bytes() const noexcept {
-  std::uint64_t words =
-      std::uint64_t{kChunkWords} * (chunks_.size() - dedicated_.size());
-  for (const auto& [h, cls] : dedicated_) words += std::uint64_t{1} << cls;
-  return words * sizeof(std::uint64_t) +
-         chunks_.capacity() * sizeof(chunks_[0]) +
-         bump_order_.capacity() * sizeof(std::uint32_t) +
-         dedicated_.capacity() * sizeof(dedicated_[0]);
-}
-
 // -------------------------------------------------------- RegistrationView
 
 WalkEngine::RegistrationView::const_iterator
@@ -449,10 +377,10 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
 //
 // The delivery path: every reply-up, flood-down and unicast-up message runs
 // through handle() into credit(), flood_at() or unicast_at(), and every event
-// lands in the caller's WalkEvents. Id sets move through the rewound
-// WordPool and the transport's arena, and the event buffer, the credit stack
-// and the proxy payload keep their capacity, so once warm a delivery
-// allocates nothing.
+// lands in the caller's WalkEvents. Id sets move through the engine's and
+// the transport's WordPools, and the event buffer, the credit stack and the
+// proxy payload keep their capacity, so once warm a delivery allocates
+// nothing.
 
 void WalkEvents::push(WalkEvent::Kind kind, NodeId node, NodeId origin,
                       IdSpan ids, std::uint64_t distinct_proxies,
@@ -621,7 +549,7 @@ void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
       }
       msg.bits = payload_bits(msg.ids.size());
       net_->send(w.node, os.in_arena[e].port, msg);
-      if (carried) free_reply(agg);  // send() copied the ids into its arena
+      if (carried) free_reply(agg);  // send() copied the ids into its pool
     }
     if (w.node == os.node && w.r == os.length) {  // the walks' injection point
       // Only the first parent-less completion carries the aggregate; its ids
@@ -674,7 +602,7 @@ void WalkEngine::flood_at(NodeId node, NodeId origin, std::uint32_t r,
       msg.a = origin;
       msg.b = level - 1;
       msg.c = gen;
-      msg.ids = ids;  // forwarded as a view; send() copies into the arena
+      msg.ids = ids;  // forwarded as a view; send() copies into its pool
       msg.bits = payload_bits(ids.size());
       net_->send(node, os.out_arena[e].port, msg);
     }
@@ -712,7 +640,7 @@ void WalkEngine::unicast_at(NodeId node, NodeId origin, std::uint32_t r,
       msg.tag = kTagUnicastUp;
       msg.a = origin;
       msg.b = level + 1;
-      msg.ids = ids;  // forwarded as a view; send() copies into the arena
+      msg.ids = ids;  // forwarded as a view; send() copies into its pool
       msg.bits = payload_bits(ids.size());
       net_->send(node, os.in_arena[lv.in_head].port, msg);
     }

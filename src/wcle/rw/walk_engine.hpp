@@ -31,11 +31,11 @@
 // walk count, which run_walk_stage checks. Counts the code can derive are
 // not stored: a level's self-step departures are the self-step arrivals one
 // level down, and the walks' injection point is (origin, length).
-// Convergecast id sets live in an engine-owned WordPool, allocated at the
-// exact size class of each set-union, with size-class free lists threaded
-// through the freed storage itself. run_walk_stage sorts each round's tokens
-// once and disposes of them in that order, so the coalesced RNG draws follow
-// a fixed sequence. After the first phase the engine performs no
+// Convergecast id sets live in an engine-owned WordPool
+// (support/word_pool.hpp, the transport's payload store too), allocated at
+// the exact size class of each set-union. run_walk_stage sorts each round's
+// tokens once and disposes of them in that order, so the coalesced RNG draws
+// follow a fixed sequence. After the first phase the engine performs no
 // steady-state allocation.
 //
 // Events: handle() and the begin_* operations append what they complete to a
@@ -56,12 +56,11 @@
 //   port arenas                       22.4 MB   18.7 MB
 //   proxies, registrations             4.3 MB    4.3 MB
 //   trail state, total               144.8 MB   75.3 MB
-//   convergecast id-set pool         108.0 MB   12.1 MB
+//   convergecast id-set pool         108.0 MB   11.7 MB
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -69,6 +68,7 @@
 #include "wcle/graph/graph.hpp"
 #include "wcle/sim/network.hpp"
 #include "wcle/support/rng.hpp"
+#include "wcle/support/word_pool.hpp"
 
 namespace wcle {
 
@@ -170,65 +170,6 @@ struct WalkConfig {
   /// O(log n)-bit token, modelling the naive per-walk transport: the
   /// Coalescing* ablations.
   bool coalesce = true;
-};
-
-/// Chunked bump/free-list pool for the sorted id sets convergecast replies
-/// carry. Slots are handed out in power-of-two size classes; each class's
-/// free list is threaded *through the freed storage itself* (the first word
-/// of a freed slot holds the next-free handle), so recycling costs zero side
-/// memory. rewind() reclaims everything at once — called per convergecast
-/// generation, when every outstanding handle is dead by construction.
-/// Addresses are stable (chunks never move), so IdSpan views over pooled
-/// buffers stay valid across later allocations.
-class WordPool {
- public:
-  static constexpr std::uint32_t kNull = 0xffffffffu;
-
-  /// Returns a handle to a slot of capacity >= n words (n >= 1).
-  std::uint32_t alloc(std::uint32_t n);
-  /// Releases a slot. `n` must be the length the slot was allocated with:
-  /// the slot is filed under size_class(n), so any other n either strands
-  /// the slot's tail until rewind() or hands an undersized slot to a later
-  /// alloc().
-  void free(std::uint32_t h, std::uint32_t n);
-  /// Drops every allocation and rewinds to the first chunk.
-  void rewind();
-  /// Heap bytes held: chunks (bump and dedicated) plus bookkeeping.
-  std::uint64_t memory_bytes() const noexcept;
-
-  std::uint64_t* data(std::uint32_t h) noexcept {
-    return chunks_[h >> kChunkBits].get() + (h & (kChunkWords - 1));
-  }
-  const std::uint64_t* data(std::uint32_t h) const noexcept {
-    return chunks_[h >> kChunkBits].get() + (h & (kChunkWords - 1));
-  }
-  std::uint64_t chunk_count() const noexcept { return chunks_.size(); }
-
- private:
-  static constexpr std::uint32_t kChunkBits = 16;
-  static constexpr std::uint32_t kChunkWords = 1u << kChunkBits;
-  static constexpr std::uint32_t kClasses = 32;
-
-  static std::uint32_t size_class(std::uint32_t n) noexcept;
-
-  std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
-  /// Chunk indices eligible for bump allocation, in fill order. Dedicated
-  /// whole-chunk slots are excluded, so rewinding the bump cursor can never
-  /// alias storage that a recycled oversized handle still names.
-  std::vector<std::uint32_t> bump_order_;
-  std::uint32_t bump_at_ = 0;
-  std::uint32_t cur_used_ = 0;
-  /// Head handle per size class; links live in the freed words themselves.
-  std::uint32_t free_head_[kClasses];
-  /// Dedicated whole-chunk slots (capacity > kChunkWords): returned to their
-  /// class free list on rewind instead of being dropped, so a pathological
-  /// id-set burst warms once.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> dedicated_;
-
- public:
-  WordPool() {
-    for (std::uint32_t c = 0; c < kClasses; ++c) free_head_[c] = kNull;
-  }
 };
 
 class WalkEngine {

@@ -6,10 +6,11 @@
 //
 // Since the data-plane rebuild a message no longer owns heap storage: the
 // variable-length id list rides as an IdSpan *view*. On send() the transport
-// copies the viewed words into its per-Network id arena; on delivery the span
-// points into that arena (valid until the next step()). Protocols therefore
-// build payloads in reusable scratch buffers and the hot path never touches
-// the allocator.
+// copies the viewed words into its per-Network id pool (a WordPool,
+// support/word_pool.hpp); on delivery the span points into that pool (valid
+// until the next step(); AddressSanitizer builds poison it after that).
+// Protocols therefore build payloads in reusable scratch buffers and the hot
+// path never touches the allocator.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,7 @@ namespace wcle {
 
 /// A non-owning view of a message's variable-length id list. Vector-like for
 /// reading (iteration, indexing, front/back); the storage belongs to the
-/// sender until send() returns, and to the transport's arena on delivery
+/// sender until send() returns, and to the transport's id pool on delivery
 /// (valid until the next step()). Copy out with to_vector() to keep ids.
 class IdSpan {
  public:
@@ -65,7 +66,7 @@ struct Message {
 
 /// A message arriving at `dst` through its local `port` in the current round.
 /// Handed out by step() as a view: `msg.ids` points into the transport's id
-/// arena and stays valid until the next step() call. Copy ids out to keep
+/// pool and stays valid until the next step() call. Copy ids out to keep
 /// them longer.
 struct Delivery {
   NodeId dst = 0;

@@ -9,77 +9,6 @@
 
 namespace wcle {
 
-// ---------------------------------------------------------------- IdArena
-
-std::uint32_t IdArena::size_class(std::uint32_t n) noexcept {
-  // Smallest c with (1 << c) >= n.
-  std::uint32_t c = 0;
-  while ((1u << c) < n) ++c;
-  return c;
-}
-
-// The arena is the payload store of the steady-state transport: once a
-// workload's footprint is warm, every alloc() is served from a free list or
-// bump space and the heap is never touched (pool_stats() pins this in
-// test_dataplane). The suppressions below are the cold-start growth points —
-// each one is amortized over the run and unreachable once capacities warm.
-// wcle-lint: begin-no-alloc
-std::uint64_t* IdArena::alloc(std::uint32_t n) {
-  assert(n >= 1);
-  ++alloc_calls_;
-  ++live_;
-  const std::uint32_t cls = size_class(n);
-  if (!free_[cls].empty()) {
-    std::uint64_t* p = free_[cls].back();
-    free_[cls].pop_back();
-    return p;
-  }
-  const std::uint32_t cap = 1u << cls;
-  if (cap > kChunkWords) {
-    // Oversized payload: a dedicated allocation outside the bump chunks
-    // (the cursor must never wander into it while it is live), recycled
-    // through its free list until the drain rewind hands it back.
-    oversized_.push_back(std::make_unique<std::uint64_t[]>(cap));
-    return oversized_.back().get();
-  }
-  // Bump-allocate; move to the next fixed-size chunk (allocating one if
-  // needed) when the current one cannot fit the slot. Skipped tails are
-  // reclaimed by the next maybe_reset rewind.
-  if (cur_used_ + cap > kChunkWords) {
-    ++cur_chunk_;
-    cur_used_ = 0;
-  }
-  if (cur_chunk_ == chunks_.size())
-    chunks_.push_back(std::make_unique<std::uint64_t[]>(kChunkWords));
-  std::uint64_t* p = chunks_[cur_chunk_].get() + cur_used_;
-  cur_used_ += cap;
-  return p;
-}
-
-void IdArena::release(const std::uint64_t* p, std::uint32_t n) {
-  assert(p != nullptr && live_ > 0);
-  --live_;
-  // wcle-lint: no-alloc-ok(free-list tracks live slots; flat once warm)
-  free_[size_class(n)].push_back(const_cast<std::uint64_t*>(p));
-  free_dirty_ = true;
-}
-// wcle-lint: end-no-alloc
-
-void IdArena::maybe_reset() {
-  if (live_ != 0) return;
-  cur_chunk_ = 0;
-  cur_used_ = 0;
-  if (free_dirty_) {
-    for (auto& list : free_) list.clear();
-    free_dirty_ = false;
-  }
-  // Oversized slots are pathological (a > 2^14-word id list); hand them back
-  // to the heap rather than pinning their footprint for the rest of the run.
-  if (!oversized_.empty()) oversized_.clear();
-}
-
-// ---------------------------------------------------------------- Network
-
 Network::Network(const Graph& g, CongestConfig cfg)
     : g_(&g), cfg_(cfg), drop_rng_(cfg.drop_seed) {
   if (cfg_.bandwidth_bits == 0)
@@ -105,8 +34,8 @@ Network::Network(const Graph& g, CongestConfig cfg)
 Network::PoolStats Network::pool_stats() const noexcept {
   PoolStats s;
   s.id_heap_blocks = ids_.chunk_count();
-  s.id_alloc_calls = ids_.alloc_calls();
-  s.id_live = ids_.live();
+  s.id_alloc_calls = id_alloc_calls_;
+  s.id_live = id_live_;
   s.msg_slots = msgs_.size();
   s.msg_live = msgs_.size() - free_msgs_.size();
   s.delivery_capacity = delivered_.capacity();
@@ -126,7 +55,7 @@ void Network::note_phase(const char* label, std::uint64_t value) {
 }
 
 // send()/step() are the zero-allocation data plane: in steady state a
-// queued message reuses a pooled slot, its payload reuses arena space, and a
+// queued message reuses a pooled slot, its payload reuses id-pool space, and a
 // delivery is a view — no heap traffic per message or per delivery. The
 // region makes that property checkable at the source level; every
 // suppressed line below is a warm-up-only growth point whose flatness
@@ -173,12 +102,13 @@ void Network::send(NodeId from, Port port, const Message& msg) {
   q.tag = msg.tag;
   q.next = kNil;
   q.ids_len = msg.ids.size();
+  q.ids = WordPool::kNull;
   if (q.ids_len > 0) {
-    std::uint64_t* stored = ids_.alloc(q.ids_len);
-    std::memcpy(stored, msg.ids.data(), q.ids_len * sizeof(std::uint64_t));
-    q.ids = stored;
-  } else {
-    q.ids = nullptr;
+    ++id_alloc_calls_;
+    ++id_live_;
+    q.ids = ids_.alloc(q.ids_len);
+    std::memcpy(ids_.data(q.ids), msg.ids.data(),
+                q.ids_len * sizeof(std::uint64_t));
   }
 
   Lane& l = lanes_[lane];
@@ -200,11 +130,12 @@ void Network::send(NodeId from, Port port, const Message& msg) {
 const std::vector<Delivery>& Network::step() {
   delivered_.clear();
   // Views handed out by the previous step are dead now; recycle their
-  // payload slots, and rewind the arena whenever it drained — the "reset
+  // payload slots, and rewind the pool whenever it drained — the "reset
   // per round-batch" that keeps one warm footprint for the whole run.
-  for (const auto& [p, len] : retired_ids_) ids_.release(p, len);
+  for (const auto& [h, len] : retired_ids_) ids_.free(h, len);
+  id_live_ -= retired_ids_.size();
   retired_ids_.clear();
-  ids_.maybe_reset();
+  if (id_live_ == 0) ids_.rewind();
   // Pool gauges (obs): occupancy peaks right here — every send of the
   // inter-step window is queued, nothing has been served yet — so this is
   // where the high-water marks are sampled. Scalar maxes only; the gauges
@@ -279,7 +210,8 @@ const std::vector<Delivery>& Network::step() {
         d.msg.c = head.c;
         d.msg.d = head.d;
         d.msg.bits = head.bits;
-        d.msg.ids = IdSpan(head.ids, head.ids_len);
+        if (head.ids_len > 0)
+          d.msg.ids = IdSpan(ids_.data(head.ids), head.ids_len);
         // wcle-lint: no-alloc-ok(capacity pinned flat by the pool_stats test)
         delivered_.push_back(d);
         // The view must outlive this step; release the payload next step.
@@ -287,7 +219,10 @@ const std::vector<Delivery>& Network::step() {
           // wcle-lint: no-alloc-ok(bounded by deliveries per round; warms once)
           retired_ids_.push_back({head.ids, head.ids_len});
       }
-      if (eaten && head.ids_len > 0) ids_.release(head.ids, head.ids_len);
+      if (eaten && head.ids_len > 0) {
+        ids_.free(head.ids, head.ids_len);
+        --id_live_;
+      }
       const std::uint32_t served = l.head;
       l.head = head.next;
       if (l.head == kNil) l.tail = kNil;

@@ -7,9 +7,10 @@
 //
 // Data plane (see README "Architecture"): queued messages live in one
 // message pool; each lane (directed edge) is an index-linked FIFO through
-// that pool; variable-length payloads are copied into a chunked id arena,
-// which rewinds whenever it drains. Deliveries are views into those pools —
-// the steady-state hot path performs no heap allocation.
+// that pool; variable-length payloads are copied into a WordPool
+// (support/word_pool.hpp), which rewinds whenever it drains. Deliveries are
+// views into those pools — the steady-state hot path performs no heap
+// allocation.
 //
 // Determinism: lanes join the active list in activation order and drained
 // lanes are compacted out in place, so step() serves lanes in a fixed order
@@ -28,6 +29,7 @@
 #include "wcle/sim/metrics.hpp"
 #include "wcle/support/bits.hpp"
 #include "wcle/support/rng.hpp"
+#include "wcle/support/word_pool.hpp"
 
 namespace wcle {
 
@@ -88,51 +90,8 @@ struct CongestConfig {
   }
 };
 
-/// Chunked bump/free-list arena for message id payloads. Addresses are
-/// stable (chunks never move), so IdSpan views into the arena survive
-/// arbitrary later allocations. Slots are handed out in power-of-two size
-/// classes and recycled through per-class free lists; when every allocation
-/// has been released (the network drained a round-batch), the whole arena
-/// rewinds to its first chunk, so long runs reuse one footprint instead of
-/// fragmenting. Counters are exposed for the no-allocation-per-delivery
-/// tests (Network::pool_stats).
-class IdArena {
- public:
-  /// Returns a slot of capacity >= n words (n >= 1).
-  std::uint64_t* alloc(std::uint32_t n);
-  /// Releases a slot previously returned by alloc(n) with the same n.
-  void release(const std::uint64_t* p, std::uint32_t n);
-  /// Rewinds the bump cursor and drops the free lists when nothing is live.
-  void maybe_reset();
-
-  std::uint64_t chunk_count() const noexcept {
-    return chunks_.size() + oversized_.size();
-  }
-  std::uint64_t live() const noexcept { return live_; }
-  std::uint64_t alloc_calls() const noexcept { return alloc_calls_; }
-
- private:
-  static constexpr std::uint32_t kChunkWords = 1u << 14;  ///< 128 KiB chunks
-  static constexpr std::uint32_t kClasses = 32;
-
-  static std::uint32_t size_class(std::uint32_t n) noexcept;
-
-  /// Fixed-size bump chunks. Oversized slots (capacity > kChunkWords) live
-  /// in oversized_ — never in bump space, so the cursor cannot wander into
-  /// a live dedicated payload; they recycle through the free lists during a
-  /// busy period and are returned to the heap on the drain rewind.
-  std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
-  std::vector<std::unique_ptr<std::uint64_t[]>> oversized_;
-  std::size_t cur_chunk_ = 0;   ///< bump chunk index
-  std::uint32_t cur_used_ = 0;  ///< words used in the bump chunk
-  std::vector<std::uint64_t*> free_[kClasses];
-  bool free_dirty_ = false;  ///< any free list non-empty (cheap reset guard)
-  std::uint64_t live_ = 0;
-  std::uint64_t alloc_calls_ = 0;
-};
-
 /// The transport. Owns the message pool, the per-directed-edge lane rings,
-/// the payload arena, and all metrics.
+/// the payload pool, and all metrics.
 class Network {
  public:
   Network(const Graph& g, CongestConfig cfg);
@@ -150,7 +109,7 @@ class Network {
   /// B-bit quantum, in lane-activation order, and each message it completes
   /// is disposed of on the spot (fault checks, drop draw, delivery).
   /// Returns this round's deliveries as views (valid until the next call —
-  /// Delivery::msg.ids points into the id arena).
+  /// Delivery::msg.ids points into the payload pool).
   const std::vector<Delivery>& step();
 
   /// True when no message is queued or in flight.
@@ -183,7 +142,7 @@ class Network {
   /// flat while deliveries keep flowing — the no-allocation-per-delivery
   /// property the tests pin down.
   struct PoolStats {
-    std::uint64_t id_heap_blocks = 0;    ///< heap blocks the arena holds
+    std::uint64_t id_heap_blocks = 0;    ///< heap blocks the id pool holds
     std::uint64_t id_alloc_calls = 0;    ///< payload slots handed out
     std::uint64_t id_live = 0;           ///< payload slots outstanding
     std::uint64_t msg_slots = 0;         ///< message-pool capacity (slots)
@@ -223,11 +182,11 @@ class Network {
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
   /// One queued message in the pool. Scalars are copied from the sender's
-  /// Message; the payload lives in the id arena; `next` threads the lane's
+  /// Message; the payload lives in the id pool; `next` threads the lane's
   /// FIFO through the pool.
   struct QueuedMessage {
     std::uint64_t a = 0, b = 0, c = 0, d = 0;
-    const std::uint64_t* ids = nullptr;
+    std::uint32_t ids = WordPool::kNull;  ///< payload handle | kNull
     std::uint32_t ids_len = 0;
     std::uint32_t bits = 0;
     std::uint32_t next = kNil;
@@ -259,10 +218,13 @@ class Network {
   std::vector<std::uint64_t> active_;
   std::vector<QueuedMessage> msgs_;  ///< message pool
   std::vector<std::uint32_t> free_msgs_;
-  IdArena ids_;  ///< payload storage
-  /// Payloads of messages delivered last step: their views must survive
-  /// until the next step() call, so they are released at its start.
-  std::vector<std::pair<const std::uint64_t*, std::uint32_t>> retired_ids_;
+  WordPool ids_;  ///< payload storage, rewound whenever nothing is live
+  std::uint64_t id_live_ = 0;         ///< payload slots outstanding
+  std::uint64_t id_alloc_calls_ = 0;  ///< payload slots handed out
+  /// Payloads of messages delivered last step, as (handle, length): their
+  /// views must survive until the next step() call, so they are released at
+  /// its start.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> retired_ids_;
   std::vector<Delivery> delivered_;
   Rng drop_rng_;  ///< consulted only when cfg_.drop_probability > 0
   std::unique_ptr<FaultInjector> faults_;  ///< null when cfg_.faults inactive

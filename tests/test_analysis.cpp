@@ -5,37 +5,47 @@
 #include <cmath>
 
 #include "wcle/analysis/experiment.hpp"
+#include "wcle/api/registry.hpp"
+#include "wcle/api/trials.hpp"
 #include "wcle/graph/generators.hpp"
 #include "wcle/graph/lower_bound_graph.hpp"
 
 namespace wcle {
 namespace {
 
+TrialStats election_trials(const Graph& g, const ElectionParams& p,
+                           int trials, std::uint64_t base_seed) {
+  RunOptions options;
+  options.params = p;
+  return run_trials(AlgorithmRegistry::instance().at("election"), g, options,
+                    trials, base_seed, /*threads=*/1);
+}
+
 TEST(Analysis, TrialsAreDeterministicInBaseSeed) {
   const Graph g = make_clique(48);
   ElectionParams p;
-  const ElectionTrialStats a = run_election_trials(g, p, 6, 500);
-  const ElectionTrialStats b = run_election_trials(g, p, 6, 500);
+  const TrialStats a = election_trials(g, p, 6, 500);
+  const TrialStats b = election_trials(g, p, 6, 500);
   EXPECT_EQ(a.congest_messages.mean, b.congest_messages.mean);
   EXPECT_EQ(a.rounds.max, b.rounds.max);
   EXPECT_EQ(a.success_rate, b.success_rate);
-  const ElectionTrialStats c = run_election_trials(g, p, 6, 501);
+  const TrialStats c = election_trials(g, p, 6, 501);
   EXPECT_NE(a.congest_messages.mean, c.congest_messages.mean);
 }
 
 TEST(Analysis, TrialStatsFieldsAreConsistent) {
   const Graph g = make_hypercube(6);
   ElectionParams p;
-  const ElectionTrialStats s = run_election_trials(g, p, 8, 42);
+  const TrialStats s = election_trials(g, p, 8, 42);
   EXPECT_EQ(s.trials, 8);
   EXPECT_EQ(s.congest_messages.count, 8u);
   EXPECT_LE(s.congest_messages.min, s.congest_messages.mean);
   EXPECT_GE(s.congest_messages.max, s.congest_messages.mean);
   EXPECT_GE(s.rounds.min, 1.0);
   // Scheduled rounds always dominate measured rounds.
-  EXPECT_GE(s.scheduled_rounds.min, s.rounds.max * 0.99);
-  EXPECT_GT(s.contenders.mean, 1.0);
-  EXPECT_GE(s.phases.mean, 1.0);
+  EXPECT_GE(s.extras.at("scheduled_rounds").min, s.rounds.max * 0.99);
+  EXPECT_GT(s.extras.at("contenders").mean, 1.0);
+  EXPECT_GE(s.extras.at("phases").mean, 1.0);
 }
 
 TEST(Analysis, ProfileOnLowerBoundGraphMatchesAlpha) {
@@ -65,7 +75,7 @@ TEST(Analysis, FailureRatesPartitionUnity) {
   const Graph g = make_clique(40);
   ElectionParams p;
   p.c1 = 0.0;  // guarantee failure: no contenders
-  const ElectionTrialStats s = run_election_trials(g, p, 4, 1);
+  const TrialStats s = election_trials(g, p, 4, 1);
   EXPECT_EQ(s.success_rate, 0.0);
   EXPECT_EQ(s.zero_leader_rate, 1.0);
   EXPECT_EQ(s.multi_leader_rate, 0.0);

@@ -6,6 +6,8 @@
 #include <cmath>
 
 #include "wcle/analysis/experiment.hpp"
+#include "wcle/api/registry.hpp"
+#include "wcle/api/trials.hpp"
 #include "wcle/baselines/candidate_flood.hpp"
 #include "wcle/baselines/known_tmix.hpp"
 #include "wcle/core/explicit_election.hpp"
@@ -20,15 +22,17 @@ namespace {
 
 TEST(Integration, TrialHarnessAggregates) {
   const Graph g = make_clique(64);
-  ElectionParams p;
-  const ElectionTrialStats stats = run_election_trials(g, p, 10);
+  RunOptions options;
+  const TrialStats stats =
+      run_trials(AlgorithmRegistry::instance().at("election"), g, options, 10,
+                 /*base_seed=*/1000, /*threads=*/1);
   EXPECT_EQ(stats.trials, 10);
   EXPECT_GE(stats.success_rate, 0.8);
   EXPECT_NEAR(stats.success_rate + stats.zero_leader_rate +
                   stats.multi_leader_rate,
               1.0, 1e-12);
   EXPECT_GT(stats.congest_messages.mean, 0.0);
-  EXPECT_GT(stats.contenders.mean, 5.0);
+  EXPECT_GT(stats.extras.at("contenders").mean, 5.0);
 }
 
 TEST(Integration, ProfileGraphMatchesKnownFamilies) {

@@ -192,7 +192,7 @@ TEST(Network, PayloadIdsRoundTripThroughTheArena) {
 
 TEST(Network, NoAllocationPerDeliverySteadyState) {
   // The data-plane invariant: once a workload's footprint is warm, the
-  // message pool, the id arena, and the delivery buffer stop growing — every
+  // message pool, the id pool, and the delivery buffer stop growing — every
   // further delivery is served from recycled slots. The instrumented pool
   // counters make the property checkable instead of anecdotal.
   const Graph g = make_clique(6);
@@ -233,7 +233,7 @@ TEST(Network, NoAllocationPerDeliverySteadyState) {
 }
 
 TEST(Network, OversizedPayloadsDontCollideWithBumpAllocations) {
-  // An id list larger than the arena's 2^14-word chunk takes the dedicated
+  // An id list larger than the pool's 2^14-word chunk takes the dedicated
   // oversized path; it must stay out of bump space (a later small payload
   // must not overwrite it) and its footprint must be handed back once the
   // network drains.
@@ -254,8 +254,9 @@ TEST(Network, OversizedPayloadsDontCollideWithBumpAllocations) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], big);
   EXPECT_EQ(got[1], little);
-  net.step();  // retire the last deliveries: the oversized chunk is returned
+  net.step();  // retire the last deliveries: the oversized block is returned
   const std::uint64_t drained_blocks = net.pool_stats().id_heap_blocks;
+  EXPECT_EQ(drained_blocks, 1u) << "only the one bump chunk may remain";
   Message m3 = small_msg(3, 64);
   m3.ids = little;
   net.send(0, 0, m3);
@@ -272,12 +273,68 @@ TEST(Network, ArenaDrainsWithTheNetwork) {
   net.send(0, 0, m);
   net.run_until_idle([](const Delivery&) {});
   // The last delivery's payload is retired at the *next* step; after another
-  // step the arena must be fully drained (live = 0) — the reset point that
+  // step the id pool must be fully drained (live = 0) — the reset point that
   // keeps long runs at one warm footprint.
   net.step();
   EXPECT_EQ(net.pool_stats().id_live, 0u);
   EXPECT_EQ(net.pool_stats().msg_live, 0u);
 }
+
+TEST(WordPool, RecyclesLifoAndReleasesDedicatedBlocksOnRewind) {
+  WordPool pool;
+  const std::uint32_t a = pool.alloc(3);  // both in the 4-word class
+  const std::uint32_t b = pool.alloc(4);
+  pool.free(a, 3);
+  pool.free(b, 4);
+  EXPECT_EQ(pool.alloc(4), b);  // free lists are LIFO
+  EXPECT_EQ(pool.alloc(3), a);
+  const std::uint32_t big = pool.alloc(WordPool::kChunkWords + 1);
+  pool.data(big)[WordPool::kChunkWords] = 7;  // the whole slot is writable
+  EXPECT_EQ(pool.chunk_count(), 2u);  // the bump chunk + a dedicated block
+  pool.rewind();
+  EXPECT_EQ(pool.chunk_count(), 1u);
+  EXPECT_EQ(pool.alloc(1), a);  // bump space restarts at the chunk's start
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Under AddressSanitizer the pool poisons what it takes back, so a read
+// through a dead view aborts instead of returning recycled words.
+TEST(WordPoolDeathTest, RewindPoisonsOutstandingSlots) {
+  // The walk engine rewinds with handles outstanding (dead by construction).
+  WordPool pool;
+  const std::uint64_t* words = pool.data(pool.alloc(2));
+  pool.rewind();
+  EXPECT_DEATH({ [[maybe_unused]] volatile std::uint64_t x = words[0]; },
+               "use-after-poison");
+}
+
+// A delivery's ids die at the next step(), whether other payloads stay
+// queued (the slot is freed) or the network drains (its pool rewinds).
+TEST(NetworkDeathTest, DeliveryIdsDieAtTheNextStep) {
+  const Graph g = make_path(2);
+  Network net(g, {64});
+  const std::vector<std::uint64_t> ids{5, 6};
+  Message quick = small_msg(1, 32);
+  quick.ids = ids;
+  Message slow = small_msg(2, 3 * 64);  // three rounds on the other lane
+  slow.ids = ids;
+  net.send(0, 0, quick);
+  net.send(1, 0, slow);
+  const IdSpan freed = net.step().at(0).msg.ids;
+  EXPECT_EQ(freed[1], 6u);
+  net.step();  // retires `freed`; `slow` keeps the pool live
+  EXPECT_EQ(net.pool_stats().id_live, 1u);
+  EXPECT_DEATH({ [[maybe_unused]] volatile std::uint64_t x = freed[1]; },
+               "use-after-poison");
+
+  const IdSpan rewound = net.step().at(0).msg.ids;
+  EXPECT_EQ(rewound[0], 5u);
+  net.step();  // retires `rewound`; the drained pool rewinds
+  EXPECT_EQ(net.pool_stats().id_live, 0u);
+  EXPECT_DEATH({ [[maybe_unused]] volatile std::uint64_t x = rewound[0]; },
+               "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace wcle

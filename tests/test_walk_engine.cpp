@@ -332,7 +332,8 @@ TEST(WalkEngine, IdPoolStaysWithinLiveRowsTimesPayload) {
 
   const std::uint64_t slot_bytes =
       std::bit_ceil(kUniverse) * sizeof(std::uint64_t);
-  const std::uint64_t chunk_bytes = (std::uint64_t{1} << 16) * 8;
+  const std::uint64_t chunk_bytes =
+      std::uint64_t{WordPool::kChunkWords} * sizeof(std::uint64_t);
   EXPECT_LE(pool_bytes.back(), proxy_rows * slot_bytes + chunk_bytes)
       << proxy_rows << " proxy rows";
 }

@@ -38,7 +38,7 @@ struct AllocSite {
 /// One call site inside a function body.
 struct CallSite {
   std::string callee;     ///< bare name ("alloc")
-  std::string qualifier;  ///< "IdArena" for IdArena::alloc, "std", or ""
+  std::string qualifier;  ///< "WordPool" for WordPool::alloc, "std", or ""
   bool member = false;    ///< receiver call: obj.f(...) / obj->f(...)
   std::uint32_t line = 0;
   std::uint32_t col = 0;
