@@ -14,8 +14,9 @@
 //   wcle_cli sweep  --family=hypercube --from=64 --to=1024 --trials=3
 //                   (doubling-sweep sugar for the grid engine)
 //
-// Common options: --family=<see `wcle_cli list`> --n= --seed= --c1= --c2=
-//                 --wide --paper-schedule --source= --tmix= --budget=
+// run/trials take every grid-grammar run option and fault axis as
+// --key=value (--c1= --wide --max-phases= --drop= --crash= --churn= ...;
+// see api/scenario.hpp), one value each: grids belong to `sweep`.
 // Unrecognized options produce a warning on stderr (typo protection).
 #include <unistd.h>
 
@@ -74,12 +75,6 @@ int get_count(const CliArgs& args, const std::string& key, int fallback) {
     throw std::invalid_argument("--" + key + "=" + std::to_string(v) +
                                 " exceeds the supported range");
   return static_cast<int>(v);
-}
-
-Graph build_family(const CliArgs& args, const std::string& default_family,
-                   NodeId default_n) {
-  return make_family(args.get("family", default_family),
-                     get_u32(args, "n", default_n), args.get_u64("seed", 1));
 }
 
 /// Shared --format parsing: validates against the command's allowed set so
@@ -145,39 +140,63 @@ std::uint32_t get_trace_walks(const CliArgs& args) {
   return k;
 }
 
-RunOptions options_from(const CliArgs& args) {
-  RunOptions opt;
-  opt.params.seed = args.get_u64("seed", 1);
-  opt.params.c1 = args.get_double("c1", opt.params.c1);
-  opt.params.c2 = args.get_double("c2", opt.params.c2);
-  // Sampled tracing: keep every K-th round row (purely observational; the
-  // traced execution is unchanged). Validated like the spec knob.
-  opt.params.trace_every = get_u32(args, "trace-every", 1);
-  if (opt.params.trace_every == 0)
-    throw std::invalid_argument("--trace-every=0 (use 1 for every round)");
-  // Per-walk token tracing (schema v2): emit walk_hop records for sampled
-  // origins. Observational like trace-every.
-  opt.params.trace_walks = get_trace_walks(args);
-  opt.params.wide_messages = args.get_bool("wide", false);
-  opt.params.paper_schedule = args.get_bool("paper-schedule", false);
-  opt.source = get_u32(args, "source", 0);
-  opt.value_bits = get_u32(args, "value-bits", opt.value_bits);
-  opt.tmix_hint = get_u32(args, "tmix", 0);
-  opt.tmix_multiplier = args.get_double("tmix-mult", opt.tmix_multiplier);
-  opt.probe_budget = args.get_u64("budget", 0);
-  opt.max_rounds = args.get_u64("max-rounds", 0);
-  // Fault axis (fault/plan.hpp): validated by the Network at run time.
-  FaultPlan& f = opt.params.faults;
-  f.crash_fraction = args.get_double("crash", 0.0);
-  f.crash_round = args.get_u64("crash-round", f.crash_round);
-  f.linkfail_fraction = args.get_double("linkfail", 0.0);
-  f.linkfail_round = args.get_u64("linkfail-round", f.linkfail_round);
-  f.churn_fraction = args.get_double("churn", 0.0);
-  f.churn_start = args.get_u64("churn-start", 0);
-  f.churn_end = args.get_u64("churn-end", 0);
-  f.adversary = args.get("adversary", f.adversary);
-  f.validate();
-  return opt;
+/// The one grid cell a run/trials invocation names. Every grammar key given
+/// as --key=value becomes a spec token, so these commands accept exactly the
+/// sweep grammar's run options and fault axes, and read them the same way.
+struct OneCell {
+  ExperimentSpec spec;
+  SweepCell cell;
+  Graph graph;
+};
+
+OneCell one_cell(const CliArgs& args, const std::string& trials,
+                 const std::string& base_seed) {
+  std::vector<std::string> tokens = {"trials=" + trials,
+                                     "base-seed=" + base_seed,
+                                     "graph-seed=" + args.get("seed", "1")};
+  std::vector<std::string> keys = {"algo",  "family", "n",        "bandwidth",
+                                   "drop",  "crash",  "linkfail", "adversary"};
+  for (const std::string& knob : knob_names()) keys.push_back(knob);
+  for (const std::string& key : keys) {
+    if (!args.has(key)) continue;
+    std::string value = args.get(key, "");
+    // A bare flag switches its option on; for --trace-walks, every walk.
+    if (value.empty()) value = key == "trace-walks" ? "1" : "true";
+    tokens.push_back(key + "=" + value);
+  }
+  OneCell one;
+  one.spec = parse_spec(tokens);
+  std::vector<SweepCell> cells = expand_cells(one.spec);
+  if (cells.size() != 1)
+    throw std::invalid_argument(
+        "'" + args.command() + "' runs one cell, but the options expand to " +
+        std::to_string(cells.size()) +
+        " (a comma list?); use `wcle_cli sweep` for grids");
+  one.cell = std::move(cells.front());
+  one.graph = make_family(one.cell.family,
+                          static_cast<NodeId>(one.cell.requested_n),
+                          one.spec.graph_seed);
+  return one;
+}
+
+/// The --trace output of run/trials. The header is the cell's canonical key
+/// (the identity serve and perfbench use too), so `replay` re-executes
+/// exactly this cell.
+void write_cell_trace(TraceWriter& writer, const std::string& tool,
+                      const OneCell& one,
+                      const std::vector<TraceRecorder>& recorders) {
+  writer.header({kTraceVersion, tool, canonical_cell_key(one.spec, one.cell)});
+  for (std::size_t i = 0; i < recorders.size(); ++i) {
+    TraceRunMeta meta;
+    meta.run = i;
+    meta.trial = i;
+    meta.seed = one.spec.base_seed + i;
+    meta.n = one.graph.node_count();
+    meta.algorithm = one.cell.algorithm;
+    meta.family = one.cell.family;
+    write_run(writer, meta, recorders[i]);
+  }
+  writer.finish(recorders.size());
 }
 
 int cmd_list(const CliArgs& args) {
@@ -231,67 +250,38 @@ int cmd_list(const CliArgs& args) {
 }
 
 int cmd_run(const CliArgs& args) {
+  const OneCell one = one_cell(args, "1", args.get("seed", "1"));
   const Algorithm& algo =
-      AlgorithmRegistry::instance().at(args.get("algo", "election"));
-  const Graph g = build_family(args, "expander", 512);
+      AlgorithmRegistry::instance().at(one.cell.algorithm);
   const std::string format = parse_format(args, {"text", "json"});
   TraceOutput trace = open_trace(args);
-  RunOptions options = options_from(args);
-  TraceRecorder recorder;
-  if (trace) options.params.trace = &recorder;
-  RunResult r = algo.run(g, options);
-  attach_verdict(g, options, algo.kind(), r);
-  if (trace) {
-    const ExperimentSpec spec = single_run_spec(
-        algo.name(), args.get("family", "expander"), args.get_u64("n", 512),
-        /*trials=*/1, options.seed(), args.get_u64("seed", 1), options);
-    trace.writer->header({kTraceVersion, "run", spec.to_string()});
-    TraceRunMeta meta;
-    meta.seed = options.seed();
-    meta.n = g.node_count();
-    meta.algorithm = algo.name();
-    meta.family = spec.families.front();
-    write_run(*trace.writer, meta, recorder);
-    trace.writer->finish(1);
-  }
+  std::vector<TraceRecorder> recorders(trace ? 1 : 0);
+  RunOptions options = one.cell.options;
+  options.set_seed(one.spec.base_seed);
+  if (trace) options.params.trace = &recorders.front();
+  RunResult r = algo.run(one.graph, options);
+  attach_verdict(one.graph, options, algo.kind(), r);
+  if (trace) write_cell_trace(*trace.writer, "run", one, recorders);
   if (format == "json") {
     std::cout << to_json(r) << "\n";
   } else {
-    std::cout << g.describe() << "\n" << r.summary() << "\n";
+    std::cout << one.graph.describe() << "\n" << r.summary() << "\n";
   }
   return r.success ? 0 : 1;
 }
 
 int cmd_trials(const CliArgs& args) {
-  const Algorithm& algo =
-      AlgorithmRegistry::instance().at(args.get("algo", "election"));
-  const Graph g = build_family(args, "expander", 512);
-  const int trials = get_count(args, "trials", 10);
+  const OneCell one =
+      one_cell(args, args.get("trials", "10"),
+               args.get("base-seed", args.get("seed", "1000")));
   const unsigned threads = get_u32(args, "threads", 0);
-  const std::uint64_t base_seed =
-      args.get_u64("base-seed", args.get_u64("seed", 1000));
   TraceOutput trace = open_trace(args);
-  const RunOptions options = options_from(args);
   std::vector<TraceRecorder> recorders;
-  const TrialStats s = run_trials(algo, g, options, trials, base_seed,
-                                  threads, trace ? &recorders : nullptr);
-  if (trace) {
-    const ExperimentSpec spec = single_run_spec(
-        algo.name(), args.get("family", "expander"), args.get_u64("n", 512),
-        trials, base_seed, args.get_u64("seed", 1), options);
-    trace.writer->header({kTraceVersion, "trials", spec.to_string()});
-    for (std::size_t i = 0; i < recorders.size(); ++i) {
-      TraceRunMeta meta;
-      meta.run = i;
-      meta.trial = i;
-      meta.seed = base_seed + i;
-      meta.n = g.node_count();
-      meta.algorithm = algo.name();
-      meta.family = spec.families.front();
-      write_run(*trace.writer, meta, recorders[i]);
-    }
-    trace.writer->finish(recorders.size());
-  }
+  const TrialStats s =
+      run_trials(AlgorithmRegistry::instance().at(one.cell.algorithm),
+                 one.graph, one.cell.options, one.spec.trials,
+                 one.spec.base_seed, threads, trace ? &recorders : nullptr);
+  if (trace) write_cell_trace(*trace.writer, "trials", one, recorders);
   const std::string format = parse_format(args, {"text", "json", "csv"});
   if (format == "json") {
     std::cout << to_json(s) << "\n";
@@ -330,7 +320,7 @@ int cmd_trials(const CliArgs& args) {
     t.write_csv(std::cout);
     return s.success_rate > 0.5 ? 0 : 1;
   }
-  std::cout << g.describe() << "\nalgorithm: " << s.algorithm << " ("
+  std::cout << one.graph.describe() << "\nalgorithm: " << s.algorithm << " ("
             << s.trials << " trials, " << s.threads << " threads)\n";
   t.print(std::cout);
   std::cout << "success rate: " << s.success_rate
@@ -425,18 +415,24 @@ int cmd_replay(const CliArgs& args) {
   return rep.ok ? 0 : 1;
 }
 
+/// Shared by the trace and obs commands: select --run=<i> of a loaded trace.
+const TraceRunData& select_run(const TraceFileData& data,
+                               const CliArgs& args) {
+  const std::uint64_t run = args.get_u64("run", 0);
+  if (run >= data.runs.size())
+    throw std::invalid_argument(
+        "--run=" + std::to_string(run) + " out of range (trace holds " +
+        std::to_string(data.runs.size()) + " runs)");
+  return data.runs[run];
+}
+
 // Per-round series of one recorded run (trace/summarize.hpp).
 int cmd_trace_summary(const CliArgs& args) {
   const std::string path = args.get("trace", "");
   if (path.empty())
     throw std::invalid_argument("trace-summary needs --trace=FILE");
   const TraceFileData data = read_trace_file(path);
-  const std::uint64_t run = args.get_u64("run", 0);
-  if (run >= data.runs.size())
-    throw std::invalid_argument(
-        "--run=" + std::to_string(run) + " out of range (trace holds " +
-        std::to_string(data.runs.size()) + " runs)");
-  const TraceRunData& r = data.runs[run];
+  const TraceRunData& r = select_run(data, args);
   const TraceSummary summary = summarize_trace(r);
   const Table table = trace_summary_table(summary, args.get_u64("every", 1));
   const std::string format = parse_format(args, {"text", "csv"});
@@ -464,17 +460,6 @@ int cmd_trace_summary(const CliArgs& args) {
             << "\n";
   table.print(std::cout);
   return 0;
-}
-
-/// Shared by the obs commands: reload --trace=FILE and select --run=<i>.
-const TraceRunData& select_run(const TraceFileData& data,
-                               const CliArgs& args) {
-  const std::uint64_t run = args.get_u64("run", 0);
-  if (run >= data.runs.size())
-    throw std::invalid_argument(
-        "--run=" + std::to_string(run) + " out of range (trace holds " +
-        std::to_string(data.runs.size()) + " runs)");
-  return data.runs[run];
 }
 
 /// Rebuilds the graph a recorded run executed on, the same way run_sweep
@@ -698,12 +683,15 @@ void usage() {
       "                [--format=text|csv]  (per-walk path/lifetime stats)\n"
       "            trace-export --trace=FILE --out=FILE.json\n"
       "                (Chrome trace-event JSON for Perfetto)\n"
-      "  common:   --family=<see list> --n=<nodes> --seed=<u64>\n"
-      "            --c1= --c2= --wide --paper-schedule --source=\n"
-      "            --tmix= --tmix-mult= --budget= --value-bits=\n"
-      "  faults:   --crash=<frac> --crash-round= --linkfail=<frac>\n"
-      "            --linkfail-round= --churn=<frac> --churn-start=\n"
-      "            --churn-end= --adversary=random|degree|contenders\n";
+      "  common:   run/trials accept --family=<see list> --n=<nodes>\n"
+      "            --seed=<u64> and every grammar knob and fault axis as\n"
+      "            --key=value (one value; grids need sweep):\n"
+      "            --bandwidth= --drop= --crash= --linkfail= --adversary=\n"
+      "            --c1= --c2= --wide --paper-schedule --lazy-walks=\n"
+      "            --coalesce= --max-phases= --max-length= --initial-length=\n"
+      "            --source= --value-bits= --tmix= --tmix-mult= --budget=\n"
+      "            --max-rounds= --crash-round= --linkfail-round= --churn=\n"
+      "            --churn-start= --churn-end= --trace-every= --trace-walks\n";
 }
 
 void warn_unconsumed(const CliArgs& args) {

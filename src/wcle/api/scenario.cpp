@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "wcle/api/registry.hpp"
 #include "wcle/api/serialize.hpp"
@@ -68,61 +70,125 @@ std::string join(const std::vector<T>& values) {
   return out.str();
 }
 
+// ----------------------------------------------------------- knob table
+
+// The grammar's text form of each field type a knob can hold.
+template <typename T>
+T parse_as(const std::string& key, const std::string& value) {
+  if constexpr (std::is_same_v<T, bool>)
+    return parse_bool(key, value);
+  else if constexpr (std::is_same_v<T, double>)
+    return parse_double(key, value);
+  else if constexpr (std::is_same_v<T, std::uint32_t>)
+    return parse_u32(key, value);
+  else
+    return parse_u64(key, value);
+}
+
+template <typename T>
+std::string format_as(T v) {
+  if constexpr (std::is_same_v<T, bool>)
+    return v ? "true" : "false";
+  else if constexpr (std::is_same_v<T, double>)
+    return format_double(v);
+  else
+    return std::to_string(v);
+}
+
+/// One run option: its grammar key, a setter that parses and validates the
+/// value, the canonical text of the option's current value, and that text
+/// for a default RunOptions.
+struct Knob {
+  std::string key;
+  std::function<void(RunOptions&, const std::string&)> set;
+  std::function<std::string(const RunOptions&)> format;
+  std::string default_text;
+};
+
+struct NoCheck {
+  template <typename T>
+  void operator()(const T&, const std::string&) const {}
+};
+
+/// A knob over the RunOptions field `field` selects; `check` rejects parsed
+/// values the field's type admits but the option does not.
+template <typename Field, typename Check = NoCheck>
+Knob knob(const char* key, Field field, Check check = {}) {
+  const RunOptions defaults;
+  return {key,
+          [key, field, check](RunOptions& o, const std::string& value) {
+            using T = std::remove_reference_t<decltype(field(o))>;
+            const T parsed = parse_as<T>(key, value);
+            check(parsed, value);
+            field(o) = parsed;
+          },
+          [field](const RunOptions& o) { return format_as(field(o)); },
+          format_as(field(defaults))};
+}
+
+auto nonzero(const char* message) {
+  return [message](std::uint32_t v, const std::string&) {
+    if (v == 0) throw std::invalid_argument(message);
+  };
+}
+
+/// Every run option the grammar can set, sorted by key. apply_knob,
+/// knob_names and single_run_spec all read this list, so adding a run
+/// option is one line here.
+const std::vector<Knob>& knob_table() {
+  static const std::vector<Knob> table = {
+      knob("budget", [](auto& o) -> auto& { return o.probe_budget; }),
+      knob("c1", [](auto& o) -> auto& { return o.params.c1; }),
+      knob("c2", [](auto& o) -> auto& { return o.params.c2; }),
+      knob("churn",
+           [](auto& o) -> auto& { return o.params.faults.churn_fraction; },
+           [](double f, const std::string& value) {
+             if (f < 0.0 || f > 1.0)
+               throw std::invalid_argument("spec: churn=" + value +
+                                           " must be in [0, 1]");
+           }),
+      knob("churn-end",
+           [](auto& o) -> auto& { return o.params.faults.churn_end; }),
+      knob("churn-start",
+           [](auto& o) -> auto& { return o.params.faults.churn_start; }),
+      knob("coalesce",
+           [](auto& o) -> auto& { return o.params.coalesce_tokens; }),
+      knob("crash-round",
+           [](auto& o) -> auto& { return o.params.faults.crash_round; }),
+      knob("initial-length",
+           [](auto& o) -> auto& { return o.params.initial_length; }),
+      knob("lazy-walks", [](auto& o) -> auto& { return o.params.lazy_walks; }),
+      knob("linkfail-round",
+           [](auto& o) -> auto& { return o.params.faults.linkfail_round; }),
+      knob("max-length", [](auto& o) -> auto& { return o.params.max_length; }),
+      knob("max-phases", [](auto& o) -> auto& { return o.params.max_phases; }),
+      knob("max-rounds", [](auto& o) -> auto& { return o.max_rounds; }),
+      knob("paper-schedule",
+           [](auto& o) -> auto& { return o.params.paper_schedule; }),
+      knob("source", [](auto& o) -> auto& { return o.source; }),
+      knob("tmix", [](auto& o) -> auto& { return o.tmix_hint; }),
+      knob("tmix-mult", [](auto& o) -> auto& { return o.tmix_multiplier; }),
+      knob("trace-every", [](auto& o) -> auto& { return o.params.trace_every; },
+           nonzero("spec: trace-every=0 (use 1 for every round)")),
+      knob("trace-walks", [](auto& o) -> auto& { return o.params.trace_walks; },
+           nonzero("spec: trace-walks=0 (use 1 for every walk, or omit the "
+                   "knob)")),
+      knob("value-bits", [](auto& o) -> auto& { return o.value_bits; }),
+      knob("wide", [](auto& o) -> auto& { return o.params.wide_messages; }),
+  };
+  return table;
+}
+
 }  // namespace
 
 void apply_knob(RunOptions& options, const std::string& key,
                 const std::string& value) {
-  if (key == "c1") options.params.c1 = parse_double(key, value);
-  else if (key == "c2") options.params.c2 = parse_double(key, value);
-  else if (key == "wide") options.params.wide_messages = parse_bool(key, value);
-  else if (key == "paper-schedule")
-    options.params.paper_schedule = parse_bool(key, value);
-  else if (key == "lazy-walks")
-    options.params.lazy_walks = parse_bool(key, value);
-  else if (key == "coalesce")
-    options.params.coalesce_tokens = parse_bool(key, value);
-  else if (key == "max-phases")
-    options.params.max_phases = parse_u32(key, value);
-  else if (key == "max-length")
-    options.params.max_length = parse_u32(key, value);
-  else if (key == "initial-length")
-    options.params.initial_length = parse_u32(key, value);
-  else if (key == "source") options.source = parse_u32(key, value);
-  else if (key == "value-bits") options.value_bits = parse_u32(key, value);
-  else if (key == "tmix") options.tmix_hint = parse_u32(key, value);
-  else if (key == "tmix-mult")
-    options.tmix_multiplier = parse_double(key, value);
-  else if (key == "budget") options.probe_budget = parse_u64(key, value);
-  else if (key == "max-rounds") options.max_rounds = parse_u64(key, value);
-  else if (key == "crash-round")
-    options.params.faults.crash_round = parse_u64(key, value);
-  else if (key == "linkfail-round")
-    options.params.faults.linkfail_round = parse_u64(key, value);
-  else if (key == "churn") {
-    options.params.faults.churn_fraction = parse_double(key, value);
-    if (options.params.faults.churn_fraction < 0.0 ||
-        options.params.faults.churn_fraction > 1.0)
-      throw std::invalid_argument("spec: churn=" + value +
-                                  " must be in [0, 1]");
-  } else if (key == "churn-start")
-    options.params.faults.churn_start = parse_u64(key, value);
-  else if (key == "churn-end")
-    options.params.faults.churn_end = parse_u64(key, value);
-  else if (key == "trace-every") {
-    options.params.trace_every = parse_u32(key, value);
-    if (options.params.trace_every == 0)
-      throw std::invalid_argument(
-          "spec: trace-every=0 (use 1 for every round)");
-  } else if (key == "trace-walks") {
-    options.params.trace_walks = parse_u32(key, value);
-    if (options.params.trace_walks == 0)
-      throw std::invalid_argument(
-          "spec: trace-walks=0 (use 1 for every walk, or omit the knob)");
-  } else
-    throw std::invalid_argument(
-        "spec: unknown key '" + key + "' (axes: algo family n bandwidth drop "
-        "crash linkfail adversary trials base-seed graph-seed reliable extras "
-        "name title; knobs: " + join(knob_names()) + ")");
+  for (const Knob& k : knob_table())
+    if (k.key == key) return k.set(options, value);
+  throw std::invalid_argument(
+      "spec: unknown key '" + key + "' (axes: algo family n bandwidth drop "
+      "crash linkfail adversary trials base-seed graph-seed reliable extras "
+      "name title; knobs: " + join(knob_names()) + ")");
 }
 
 void apply_bandwidth(RunOptions& options, const std::string& value) {
@@ -142,12 +208,9 @@ void apply_bandwidth(RunOptions& options, const std::string& value) {
 }
 
 std::vector<std::string> knob_names() {
-  return {"budget",     "c1",           "c2",            "churn",
-          "churn-end",  "churn-start",  "coalesce",      "crash-round",
-          "initial-length", "lazy-walks", "linkfail-round", "max-length",
-          "max-phases", "max-rounds",   "paper-schedule", "source",
-          "tmix",       "tmix-mult",    "trace-every",   "trace-walks",
-          "value-bits", "wide"};
+  std::vector<std::string> names;
+  for (const Knob& k : knob_table()) names.push_back(k.key);
+  return names;
 }
 
 ExperimentSpec single_run_spec(const std::string& algorithm,
@@ -181,53 +244,15 @@ ExperimentSpec single_run_spec(const std::string& algorithm,
   spec.base_seed = base_seed;
   spec.graph_seed = graph_seed;
 
-  // Non-default knobs, reverse-mapped to the grammar keys apply_knob reads.
-  // expand_cells applies bandwidth before knobs, so an explicit wide=true
-  // knob keeps the wide regime even alongside a raw-bits bandwidth.
-  const RunOptions def;
-  const auto knob = [&spec](const std::string& key, bool differs,
-                            std::string value) {
-    if (differs) spec.knobs[key] = {std::move(value)};
-  };
-  knob("c1", p.c1 != def.params.c1, format_double(p.c1));
-  knob("c2", p.c2 != def.params.c2, format_double(p.c2));
-  knob("wide", p.wide_messages && p.bandwidth_bits != 0, "true");
-  knob("paper-schedule", p.paper_schedule, "true");
-  knob("lazy-walks", !p.lazy_walks, "false");
-  knob("coalesce", !p.coalesce_tokens, "false");
-  knob("max-phases", p.max_phases != def.params.max_phases,
-       std::to_string(p.max_phases));
-  knob("max-length", p.max_length != def.params.max_length,
-       std::to_string(p.max_length));
-  knob("initial-length", p.initial_length != def.params.initial_length,
-       std::to_string(p.initial_length));
-  knob("source", options.source != def.source,
-       std::to_string(options.source));
-  knob("value-bits", options.value_bits != def.value_bits,
-       std::to_string(options.value_bits));
-  knob("tmix", options.tmix_hint != def.tmix_hint,
-       std::to_string(options.tmix_hint));
-  knob("tmix-mult", options.tmix_multiplier != def.tmix_multiplier,
-       format_double(options.tmix_multiplier));
-  knob("budget", options.probe_budget != def.probe_budget,
-       std::to_string(options.probe_budget));
-  knob("max-rounds", options.max_rounds != def.max_rounds,
-       std::to_string(options.max_rounds));
-  knob("crash-round", p.faults.crash_round != def.params.faults.crash_round,
-       std::to_string(p.faults.crash_round));
-  knob("linkfail-round",
-       p.faults.linkfail_round != def.params.faults.linkfail_round,
-       std::to_string(p.faults.linkfail_round));
-  knob("churn", p.faults.churn_fraction != 0.0,
-       format_double(p.faults.churn_fraction));
-  knob("churn-start", p.faults.churn_start != 0,
-       std::to_string(p.faults.churn_start));
-  knob("churn-end", p.faults.churn_end != 0,
-       std::to_string(p.faults.churn_end));
-  knob("trace-every", p.trace_every != def.params.trace_every,
-       std::to_string(p.trace_every));
-  knob("trace-walks", p.trace_walks != def.params.trace_walks,
-       std::to_string(p.trace_walks));
+  // Every knob whose canonical text differs from the default's. The
+  // bandwidth axis already says "wide" unless a raw-bits budget took its
+  // place; expand_cells applies bandwidth before knobs, so an explicit
+  // wide=true then keeps the wide regime alongside the raw bits.
+  for (const Knob& k : knob_table()) {
+    if (k.key == "wide" && p.bandwidth_bits == 0) continue;
+    std::string text = k.format(options);
+    if (text != k.default_text) spec.knobs[k.key] = {std::move(text)};
+  }
   return spec;
 }
 
@@ -287,8 +312,9 @@ ExperimentSpec parse_spec_onto(ExperimentSpec spec,
       for (const std::string& v : values) spec.families.push_back(v);
     } else if (key == "n") {
       if (fresh("n")) spec.sizes.clear();
+      // Graphs index nodes in 32 bits: a larger n must not wrap.
       for (const std::string& v : values)
-        spec.sizes.push_back(parse_u64(key, v));
+        spec.sizes.push_back(parse_u32(key, v));
     } else if (key == "bandwidth" || key == "b") {
       if (fresh("bandwidth")) spec.bandwidths.clear();
       RunOptions scratch;

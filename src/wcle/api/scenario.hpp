@@ -25,10 +25,12 @@
 //                                columns (mean); JSONL always carries all
 //   name=e1  title=...           identification (no grids)
 //
-// Any other key must be a RunOptions knob and grids like the axes above:
-//   c1= c2= wide= paper-schedule= lazy-walks= coalesce= source= value-bits=
-//   tmix= tmix-mult= budget= max-rounds= crash-round= linkfail-round=
-//   churn= churn-start= churn-end=
+// Any other key must be one of the 22 RunOptions knobs (knob_names()) and
+// grids like the axes above:
+//   budget= c1= c2= churn= churn-end= churn-start= coalesce= crash-round=
+//   initial-length= lazy-walks= linkfail-round= max-length= max-phases=
+//   max-rounds= paper-schedule= source= tmix= tmix-mult= trace-every=
+//   trace-walks= value-bits= wide=
 //
 // Cells expand in a fixed documented order — family (outer), n, algorithm,
 // bandwidth, drop, crash, linkfail, adversary, then knob combinations (knob
@@ -92,7 +94,8 @@ ExperimentSpec parse_spec_onto(ExperimentSpec base,
                                const std::vector<std::string>& tokens);
 
 /// Applies one knob to `options`. Throws std::invalid_argument for an
-/// unknown key or malformed value. The key set is shared with the parser.
+/// unknown key or malformed value. The key set is shared with the parser
+/// and single_run_spec: all three read one table of run options.
 void apply_knob(RunOptions& options, const std::string& key,
                 const std::string& value);
 
@@ -102,8 +105,9 @@ void apply_bandwidth(RunOptions& options, const std::string& value);
 /// The canonical one-cell spec for a single `run`/`trials` invocation: the
 /// spec whose sweep expansion reproduces exactly `options` (trace pointer
 /// aside) on graph (family, n, graph_seed), trial seeds base_seed.. — the
-/// replayable identity written into trace headers. Non-default knobs are
-/// reverse-mapped to the grammar with round-trip-exact number formatting.
+/// replayable identity written into trace headers. A knob is emitted exactly
+/// when its canonical text differs from the default's (numbers round-trip
+/// exactly); `wide` only alongside a raw-bits bandwidth.
 /// Throws std::invalid_argument for options the grammar cannot express
 /// (explicit fault seed, pinned crash victims).
 ExperimentSpec single_run_spec(const std::string& algorithm,

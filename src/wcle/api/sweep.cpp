@@ -79,6 +79,9 @@ std::vector<SweepCell> expand_cells(const ExperimentSpec& spec) {
                     cell.options.params.faults.crash_fraction = crash;
                     cell.options.params.faults.linkfail_fraction = linkfail;
                     cell.options.params.faults.adversary = adversary;
+                    // A churn fraction without its window is malformed
+                    // input: reject it here, before any job is accepted.
+                    cell.options.params.faults.validate();
                     cells.push_back(std::move(cell));
                   }
                 }
@@ -129,6 +132,21 @@ std::vector<SweepCell> cells_with_graphs(const ExperimentSpec& spec,
   return cells;
 }
 
+/// One cell's trials on its graph, on the single-threaded trial path;
+/// `traces` (optional) receives every trial's timeline.
+CellResult run_cell_on(const ExperimentSpec& spec, const SweepCell& cell,
+                       const Graph& g,
+                       std::vector<TraceRecorder>* traces = nullptr) {
+  CellResult r;
+  r.cell = cell;
+  r.n = g.node_count();
+  r.m = g.edge_count();
+  r.stats = run_trials(AlgorithmRegistry::instance().at(cell.algorithm), g,
+                       cell.options, spec.trials, spec.base_seed,
+                       /*threads=*/1, traces);
+  return r;
+}
+
 }  // namespace
 
 std::vector<SweepCell> sweep_cells(const ExperimentSpec& spec) {
@@ -137,17 +155,10 @@ std::vector<SweepCell> sweep_cells(const ExperimentSpec& spec) {
 }
 
 CellResult run_sweep_cell(const ExperimentSpec& spec, const SweepCell& cell) {
-  const Graph g = make_family(cell.family,
-                              static_cast<NodeId>(cell.requested_n),
-                              spec.graph_seed);
-  CellResult r;
-  r.cell = cell;
-  r.n = g.node_count();
-  r.m = g.edge_count();
-  r.stats = run_trials(AlgorithmRegistry::instance().at(cell.algorithm), g,
-                       cell.options, spec.trials, spec.base_seed,
-                       /*threads=*/1);
-  return r;
+  return run_cell_on(spec, cell,
+                     make_family(cell.family,
+                                 static_cast<NodeId>(cell.requested_n),
+                                 spec.graph_seed));
 }
 
 std::vector<CellResult> run_sweep(const ExperimentSpec& spec,
@@ -174,15 +185,8 @@ std::vector<CellResult> run_sweep(const ExperimentSpec& spec,
       trace ? cells.size() : 0);
   auto run_cell = [&](std::size_t i) {
     const SweepCell& cell = cells[i];
-    const Graph& g = graphs.at({cell.family, cell.requested_n});
-    CellResult r;
-    r.cell = cell;
-    r.n = g.node_count();
-    r.m = g.edge_count();
-    r.stats = run_trials(AlgorithmRegistry::instance().at(cell.algorithm), g,
-                         cell.options, spec.trials, spec.base_seed,
-                         /*threads=*/1, trace ? &cell_traces[i] : nullptr);
-    return r;
+    return run_cell_on(spec, cell, graphs.at({cell.family, cell.requested_n}),
+                       trace ? &cell_traces[i] : nullptr);
   };
   // Timelines stream in (cell, trial) order alongside the sinks, then free
   // their memory. Workers may run ahead of the in-order flush cursor, so a

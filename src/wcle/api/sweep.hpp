@@ -47,8 +47,9 @@ struct CellResult {
 
 /// Expands the grid in the documented axis order (family, n, algorithm,
 /// bandwidth, drop, crash, linkfail, adversary, knob combinations).
-/// Validates algorithm names against the registry; family strings are
-/// validated when the graphs are built.
+/// Validates algorithm names against the registry and every cell's fault
+/// plan (FaultPlan::validate); family strings are validated when the graphs
+/// are built.
 std::vector<SweepCell> expand_cells(const ExperimentSpec& spec);
 
 /// The exact cell list run_sweep executes: expand_cells plus the

@@ -2,9 +2,8 @@
 // power-of-two histograms with a register-then-update discipline. All storage
 // is sized at registration time, so the update path (add / set_max / observe)
 // never allocates and is safe to call from inside a begin-no-alloc region.
-// There are no wall clocks anywhere in obs — ScopedPhaseTimer measures in
-// transport rounds (or any caller-supplied monotone tick), which keeps every
-// derived statistic a deterministic function of the run.
+// There are no wall clocks anywhere in obs: every statistic counts messages
+// or transport rounds, which keeps it a deterministic function of the run.
 #pragma once
 
 #include <cstdint>
@@ -88,28 +87,5 @@ class StatRegistry {
 /// in registration order. Histogram buckets are folded to the four scalar
 /// aggregates — the /metricz surface, not the Perfetto exporter.
 std::string to_json(const StatRegistry& registry);
-
-/// RAII phase timer over a caller-supplied monotone tick (typically the
-/// absolute transport round): records `*clock - start` into a registry
-/// histogram when the scope closes. Rounds, not wall time — the recorded
-/// durations replay bit-identically.
-class ScopedPhaseTimer {
- public:
-  ScopedPhaseTimer(StatRegistry& registry, std::size_t histogram_handle,
-                   const std::uint64_t& clock)
-      : registry_(&registry),
-        histogram_(histogram_handle),
-        clock_(&clock),
-        start_(clock) {}
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-  ~ScopedPhaseTimer() { registry_->observe(histogram_, *clock_ - start_); }
-
- private:
-  StatRegistry* registry_;
-  std::size_t histogram_;
-  const std::uint64_t* clock_;
-  std::uint64_t start_;
-};
 
 }  // namespace wcle

@@ -1,6 +1,19 @@
 #include "wcle/analysis/cli.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "wcle/api/scenario.hpp"
+#include "wcle/api/sweep.hpp"
+#include "wcle/trace/reader.hpp"
 
 namespace wcle {
 namespace {
@@ -182,6 +195,68 @@ TEST(Cli, HostPortMarksConsumption) {
   const CliArgs a = parse({"serve", "--listen=h:1"});
   a.get_host_port("listen", "x", 2);
   EXPECT_TRUE(a.unconsumed().empty());
+}
+
+// ---------------------------------------------------------------------------
+// The wcle_cli binary: run/trials read their flags through the spec grammar.
+// ---------------------------------------------------------------------------
+
+struct CliRun {
+  int status = -1;
+  std::string out;
+  std::string err;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::string cli_binary() { return std::string(WCLE_BINARY_DIR) + "/wcle_cli"; }
+
+CliRun run_cli(const std::string& args) {
+  const std::string out = testing::TempDir() + "wcle_cli_test.out";
+  const std::string err = testing::TempDir() + "wcle_cli_test.err";
+  const std::string cmd =
+      cli_binary() + " " + args + " >" + out + " 2>" + err;
+  CliRun r;
+  r.status = WEXITSTATUS(std::system(cmd.c_str()));
+  r.out = slurp(out);
+  r.err = slurp(err);
+  return r;
+}
+
+bool cli_built() { return access(cli_binary().c_str(), X_OK) == 0; }
+
+TEST(CliBinary, RunTraceHeaderIsTheCanonicalCellKey) {
+  if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
+  const std::string trace = testing::TempDir() + "wcle_cli_test.jsonl";
+  const CliRun r = run_cli("run --n=32 --c1=3 --crash=0.1 --trace=" + trace);
+  ASSERT_NE(r.status, 2) << r.err;
+  const ExperimentSpec spec = parse_spec(
+      "algo=election family=expander n=32 c1=3 crash=0.1 trials=1 "
+      "base-seed=1 graph-seed=1");
+  const std::vector<SweepCell> cells = expand_cells(spec);
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(read_trace_file(trace).header.spec,
+            canonical_cell_key(spec, cells[0]));
+  std::remove(trace.c_str());
+}
+
+TEST(CliBinary, RunRejectsAGridWithExitTwo) {
+  if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
+  const CliRun r = run_cli("run --n=32 --c1=1,2");
+  EXPECT_EQ(r.status, 2);
+  EXPECT_NE(r.err.find("sweep"), std::string::npos) << r.err;
+}
+
+TEST(CliBinary, RunReadsFaultAxesItOnceIgnored) {
+  if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
+  const CliRun r = run_cli("run --n=32 --drop=0.02");
+  EXPECT_NE(r.status, 2) << r.err;
+  EXPECT_EQ(r.err.find("was ignored"), std::string::npos) << r.err;
 }
 
 }  // namespace

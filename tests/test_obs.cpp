@@ -1,7 +1,7 @@
-// wcle::obs unit tests: the stat registry's update-path semantics, round-
-// denominated scoped phase timers, congestion aggregation over hand-built
-// hop streams, the Lemma 12 envelope, per-walk summaries, and the Chrome
-// trace-event exporter's output shape.
+// wcle::obs unit tests: the stat registry's update-path semantics,
+// congestion aggregation over hand-built hop streams, the Lemma 12
+// envelope, per-walk summaries, and the Chrome trace-event exporter's
+// output shape.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -58,20 +58,6 @@ TEST(ObsRegistry, CountersGaugesAndHistograms) {
   EXPECT_EQ(reg.counter_value(sends), 0u);
   EXPECT_EQ(reg.gauge_value(peak), 0u);
   EXPECT_EQ(reg.histograms()[0].count, 0u);
-}
-
-TEST(ObsRegistry, ScopedPhaseTimerMeasuresRounds) {
-  StatRegistry reg;
-  const std::size_t durations = reg.histogram("phase_rounds");
-  std::uint64_t round = 10;
-  {
-    ScopedPhaseTimer timer(reg, durations, round);
-    round = 17;  // the protocol advances 7 rounds inside the phase
-  }
-  const HistogramSnapshot h = reg.histograms()[0];
-  EXPECT_EQ(h.count, 1u);
-  EXPECT_EQ(h.sum, 7u);
-  EXPECT_EQ(h.max, 7u);
 }
 
 TEST(ObsCongestion, AggregatesPerRoundEdgeLoads) {

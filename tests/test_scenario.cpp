@@ -4,6 +4,8 @@
 // line.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <stdexcept>
 
 #include "wcle/api/registry.hpp"
@@ -65,6 +67,9 @@ TEST(SpecGrammar, Rejections) {
   EXPECT_THROW(parse_spec("n="), std::invalid_argument);
   EXPECT_THROW(parse_spec("algo=election n=8 shards=4"),
                std::invalid_argument);
+  EXPECT_THROW(parse_spec("n=4294967360"), std::invalid_argument);
+  // Parses, but a churn fraction without its window is no fault plan.
+  EXPECT_THROW(expand_cells(parse_spec("churn=0.1")), std::invalid_argument);
 }
 
 TEST(SpecGrammar, KnobApplication) {
@@ -88,6 +93,49 @@ TEST(SpecGrammar, KnobApplication) {
   EXPECT_TRUE(options.params.wide_messages);
   apply_bandwidth(options, "standard");
   EXPECT_FALSE(options.params.wide_messages);
+}
+
+// Every knob survives the trip options -> single_run_spec -> grammar ->
+// expanded cell -> canonical key. The value map must name every key, so a
+// new knob cannot skip this check.
+TEST(SpecGrammar, EveryKnobRoundTripsThroughTheCanonicalKey) {
+  const std::map<std::string, std::string> non_default = {
+      {"budget", "7"},         {"c1", "3"},
+      {"c2", "2.5"},           {"churn", "0.25"},
+      {"churn-end", "9"},      {"churn-start", "2"},
+      {"coalesce", "false"},   {"crash-round", "3"},
+      {"initial-length", "2"}, {"lazy-walks", "false"},
+      {"linkfail-round", "4"}, {"max-length", "64"},
+      {"max-phases", "5"},     {"max-rounds", "100"},
+      {"paper-schedule", "true"}, {"source", "3"},
+      {"tmix", "12"},          {"tmix-mult", "1.5"},
+      {"trace-every", "4"},    {"trace-walks", "2"},
+      {"value-bits", "16"},    {"wide", "true"}};
+  const std::vector<std::string> keys = knob_names();
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_EQ(keys.size(), non_default.size());
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(non_default.count(key)) << "no test value for knob " << key;
+    const std::string& value = non_default.at(key);
+    RunOptions options;
+    // wide=true is only a knob beside raw bits (else bandwidth=wide says
+    // it); a churn fraction needs its window to form a valid fault plan.
+    if (key == "wide") apply_bandwidth(options, "256");
+    if (key == "churn") {
+      apply_knob(options, "churn-start", "2");
+      apply_knob(options, "churn-end", "9");
+    }
+    apply_knob(options, key, value);
+    const std::string line =
+        single_run_spec("election", "expander", 32, 1, 1, 1, options)
+            .to_string();
+    EXPECT_NE(line.find(" " + key + "=" + value + " "), std::string::npos)
+        << line;
+    const ExperimentSpec reparsed = parse_spec(line);
+    const std::vector<SweepCell> cells = expand_cells(reparsed);
+    ASSERT_EQ(cells.size(), 1u) << line;
+    EXPECT_EQ(canonical_cell_key(reparsed, cells[0]), line);
+  }
 }
 
 TEST(SpecGrammar, ParseOntoReplacesOnlyNamedAxes) {

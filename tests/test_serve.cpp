@@ -316,6 +316,10 @@ TEST_F(ServeTest, MalformedRequestsAnswer4xx) {
   const Response bad_spec = one_shot(port_, post_sweep("algo=nosuch n=8"));
   EXPECT_EQ(bad_spec.status, 400);
   EXPECT_NE(bad_spec.body.find("unknown algorithm"), std::string::npos);
+  // A spec that parses but names an invalid fault plan (churn without its
+  // window) is refused at submit too, not failed later by a worker.
+  EXPECT_EQ(one_shot(port_, post_sweep("algo=election n=8 churn=0.1")).status,
+            400);
   // The daemon survives all of the above.
   EXPECT_EQ(one_shot(port_, get_request("/healthz")).status, 200);
 }
