@@ -128,18 +128,6 @@ TraceOutput open_trace(const CliArgs& args) {
   return t;
 }
 
-/// --trace-walks[=K]: the bare flag means K = 1 (record every walk);
-/// absent means 0 (walk tracing off).
-std::uint32_t get_trace_walks(const CliArgs& args) {
-  if (!args.has("trace-walks")) return 0;
-  if (args.get("trace-walks", "").empty()) return 1;
-  const std::uint32_t k = get_u32(args, "trace-walks", 0);
-  if (k == 0)
-    throw std::invalid_argument(
-        "--trace-walks=0 (use 1 for every walk, or omit the flag)");
-  return k;
-}
-
 /// The one grid cell a run/trials invocation names. Every grammar key given
 /// as --key=value becomes a spec token, so these commands accept exactly the
 /// sweep grammar's run options and fault axes, and read them the same way.
@@ -373,18 +361,17 @@ int cmd_sweep(const CliArgs& args) {
   }
 
   const unsigned threads = get_u32(args, "threads", 0);
-  // --trace-every=K is sugar for the trace-every grid knob (sampled round
-  // rows); explicit grid tokens win over the flag.
-  const std::uint64_t trace_every = args.get_u64("trace-every", 1);
-  if (trace_every == 0)
-    throw std::invalid_argument("--trace-every=0 (use 1 for every round)");
-  if (trace_every > 1 && !spec.knobs.count("trace-every"))
-    spec.knobs["trace-every"] = {std::to_string(trace_every)};
-  // --trace-walks[=K] likewise lifts into the trace-walks grid knob, so the
-  // sampling rides in the header spec and traced sweeps replay identically.
-  const std::uint32_t trace_walks = get_trace_walks(args);
-  if (trace_walks > 0 && !spec.knobs.count("trace-walks"))
-    spec.knobs["trace-walks"] = {std::to_string(trace_walks)};
+  // --trace-every=K and --trace-walks[=K] become their grid knobs' tokens
+  // (a bare flag means 1), so the grammar validates them and the sampling
+  // rides in the header spec: traced sweeps replay identically. Explicit
+  // grid tokens win over the flags.
+  std::vector<std::string> trace_tokens;
+  for (const std::string key : {"trace-every", "trace-walks"}) {
+    if (!args.has(key) || spec.knobs.count(key)) continue;
+    const std::string value = args.get(key, "");
+    trace_tokens.push_back(key + "=" + (value.empty() ? "1" : value));
+  }
+  spec = parse_spec_onto(std::move(spec), trace_tokens);
   const std::unique_ptr<Sink> sink =
       make_sink(parse_format(args, {"text", "csv", "jsonl", "json"}),
                 std::cout);

@@ -30,6 +30,13 @@ std::uint32_t home_bucket(NodeId node, std::uint32_t r,
   return static_cast<std::uint32_t>((key * 0x9e3779b97f4a7c15ull) >> shift);
 }
 
+/// A delivery message's receiver row, with the level it sits at: the level
+/// lets a debug build check the row against the (node, level) key, and lets
+/// a flood over a lost token's edge fall back to the index (row == kNil).
+std::uint64_t row_ref(std::uint32_t level, std::uint32_t row) noexcept {
+  return (std::uint64_t{level} << 32) | row;
+}
+
 /// Size of the union of two sorted, duplicate-free id buffers.
 std::uint32_t union_size(const std::uint64_t* a, std::uint32_t na,
                          const std::uint64_t* b, std::uint32_t nb) noexcept {
@@ -180,6 +187,7 @@ void WalkEngine::clear_origin(NodeId origin) {
   std::fill(os->index.begin(), os->index.end(), kNil);
   os->in_arena.clear();
   os->out_arena.clear();
+  os->proxy_rows.clear();
   for (const NodeId node : os->proxies) {
     auto& regs = registrations_[node];
     const auto it = reg_position(regs, origin);
@@ -190,11 +198,13 @@ void WalkEngine::clear_origin(NodeId origin) {
 }
 
 void WalkEngine::note_arrival(OriginState& os, std::uint32_t lv, Port port,
-                              std::uint32_t count) {
+                              std::uint32_t count, std::uint32_t peer) {
   std::uint32_t tail = kNil;
   for (std::uint32_t e = os.levels[lv].in_head; e != kNil;
        e = os.in_arena[e].next) {
     if (os.in_arena[e].port == port) {
+      // One port, one sender node, one level above: always the same row.
+      assert(os.in_arena[e].peer == peer);
       os.in_arena[e].count += count;
       return;
     }
@@ -202,7 +212,7 @@ void WalkEngine::note_arrival(OriginState& os, std::uint32_t lv, Port port,
   }
   const std::uint32_t e = static_cast<std::uint32_t>(os.in_arena.size());
   // wcle-lint: no-alloc-ok(arena entry, bounded by degree; stays warm)
-  os.in_arena.push_back({count, port, kNil});
+  os.in_arena.push_back({count, port, kNil, peer});
   if (tail == kNil)
     os.levels[lv].in_head = e;
   else
@@ -220,9 +230,9 @@ const std::vector<NodeId>& WalkEngine::proxy_nodes(NodeId origin) const {
 }
 
 void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
-                               std::uint32_t count,
+                               std::uint32_t row, std::uint32_t count,
                                std::vector<Pending>& next) {
-  const std::uint32_t li = level_at(os, node, r);
+  const std::uint32_t li = row != kNil ? row : level_at(os, node, r);
   os.levels[li].units += count;
   if (r == 0) {
     auto& regs = registrations_[node];
@@ -232,6 +242,8 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
       regs.insert(it, {os.node, count});
       // wcle-lint: no-alloc-ok(bounded by proxies per origin; stays warm)
       os.proxies.push_back(node);
+      // wcle-lint: no-alloc-ok(bounded by proxies per origin; stays warm)
+      os.proxy_rows.push_back(li);
     } else {
       it->second += count;
     }
@@ -243,9 +255,12 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
   const std::uint32_t movers = count - stays;
   if (stays > 0) {
     // level_at may grow the rows; li-indexed access stays valid.
-    os.levels[level_at(os, node, r - 1)].stay_in += stays;
+    const std::uint32_t below = level_at(os, node, r - 1);
+    os.levels[below].stay_in += stays;
+    os.levels[below].up = li;
+    os.levels[li].down = below;
     // wcle-lint: no-alloc-ok(phase-local queue; warm after round one)
-    next.push_back({node, os.node, r - 1, stays});
+    next.push_back({node, os.node, r - 1, stays, below});
   }
   if (movers == 0) return;
 
@@ -264,19 +279,22 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
       e = os.out_arena[e].next;
     }
     if (e == kNil) {  // port not yet on the departure list: append at tail
-      const std::uint32_t ne = static_cast<std::uint32_t>(os.out_arena.size());
+      e = static_cast<std::uint32_t>(os.out_arena.size());
       // wcle-lint: no-alloc-ok(arena entry, bounded by degree; stays warm)
-      os.out_arena.push_back({p, kNil});
+      os.out_arena.push_back({p, kNil, kNil});
       if (tail == kNil)
-        os.levels[li].out_head = ne;
+        os.levels[li].out_head = e;
       else
-        os.out_arena[tail].next = ne;
+        os.out_arena[tail].next = e;
     }
     Message msg;
     msg.tag = kTagWalkToken;
     msg.a = os.node;
     msg.b = r - 1;
     msg.c = sent;
+    // The sender's row and departure entry, for the receiver to link both
+    // ends of the trail edge (host-side bookkeeping; `bits` is the bill).
+    msg.d = (std::uint64_t{li} << 32) | e;
     // Without coalescing every walk unit pays for its own token (the naive
     // transport Lemma 12 improves on); with it the count rides along free.
     msg.bits = config_.coalesce
@@ -342,7 +360,7 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
       }
       OriginState* os = find_origin(cur[i].origin);
       assert(os != nullptr);
-      dispose_units(*os, cur[i].node, cur[i].level, total, next);
+      dispose_units(*os, cur[i].node, cur[i].level, cur[i].row, total, next);
       i = j;
     }
     cur.clear();
@@ -364,9 +382,12 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
             count, d.msg.tag);
       OriginState* os = find_origin(origin);
       assert(os != nullptr);
-      note_arrival(*os, level_at(*os, d.dst, r), d.port, count);
+      const std::uint32_t row = level_at(*os, d.dst, r);
+      note_arrival(*os, row, d.port, count,
+                   static_cast<std::uint32_t>(d.msg.d >> 32));
+      os->out_arena[static_cast<std::uint32_t>(d.msg.d)].peer = row;
       // wcle-lint: no-alloc-ok(phase-local queue; warm after round one)
-      next.push_back({d.dst, origin, r, count});
+      next.push_back({d.dst, origin, r, count, row});
     }
     cur.swap(next);
   }
@@ -462,18 +483,21 @@ void WalkEngine::begin_convergecast(const std::vector<NodeId>& origins,
   cc_pool_.rewind();   // every outstanding id-set handle died with it
   ReplyPayload& payload = proxy_payload_;
   for (const NodeId origin : origins) {
-    for (const NodeId proxy : proxy_nodes(origin)) {
-      const RegistrationView regs = registrations(proxy);
-      const auto it = regs.find(origin);
-      assert(it != regs.end());
+    OriginState* os = find_origin(origin);
+    if (os == nullptr) continue;  // never walked: no proxies
+    for (std::size_t i = 0; i < os->proxies.size(); ++i) {
+      const NodeId proxy = os->proxies[i];
+      const std::uint32_t row = os->proxy_rows[i];
+      // The terminal row counts exactly the units registered at the proxy.
+      const std::uint32_t units = os->levels[row].units;
+      assert(registrations(proxy).at(origin) == units);
       payload.distinct_proxies = 0;
       payload.proxy_nodes = 0;
       payload.ids.clear();
-      at_proxy(proxy, origin, it->second, payload);
+      at_proxy(proxy, origin, units, payload);
       // Each proxy counts at most once per walk it ends, so every aggregate
       // stays within the origin's 32-bit walk count.
-      if (payload.distinct_proxies > it->second ||
-          payload.proxy_nodes > it->second)
+      if (payload.distinct_proxies > units || payload.proxy_nodes > units)
         throw std::invalid_argument(
             "begin_convergecast: a proxy's counters exceed its walk count");
       const PooledReply pooled = intern_reply(
@@ -481,18 +505,14 @@ void WalkEngine::begin_convergecast(const std::vector<NodeId>& origins,
           static_cast<std::uint32_t>(payload.distinct_proxies),
           static_cast<std::uint32_t>(payload.proxy_nodes));
       // Seed distribution from the trail's terminal level.
-      credit(proxy, origin, 0, static_cast<std::uint32_t>(it->second), pooled,
-             out);
+      credit(*os, row, units, pooled, out);
     }
   }
 }
 
-void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
+void WalkEngine::credit(OriginState& os, std::uint32_t row,
                         std::uint32_t units, PooledReply payload,
                         WalkEvents& out) {
-  OriginState* osp = find_origin(origin);
-  assert(osp != nullptr);
-  OriginState& os = *osp;
   if (os.cc_gen != cc_gen_) {
     // First credit of this convergecast generation: reset the origin's rows
     // in place. Their old handles are NOT freed — that storage died in the
@@ -504,17 +524,15 @@ void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
     }
   }
   // wcle-lint: no-alloc-ok(engine-owned work stack; warm after one cascade)
-  cc_stack_.push_back({node, r, units, payload});
+  cc_stack_.push_back({row, units, payload});
 
   while (!cc_stack_.empty()) {
     CreditWork w = cc_stack_.back();
     cc_stack_.pop_back();
-    const std::uint32_t li = find_level(os, w.node, w.r);
-    assert(li != kNil);
-    Level& lv = os.levels[li];
+    Level& lv = os.levels[w.row];
 
     PooledReply agg;
-    if (w.r == 0) {
+    if (lv.r == 0) {
       // Terminal level: all proxy units report at once; no counting needed.
       agg = w.payload;
     } else {
@@ -531,16 +549,17 @@ void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
     bool first = true;
     if (lv.stay_in > 0) {
       // wcle-lint: no-alloc-ok(engine-owned work stack; warm after one cascade)
-      cc_stack_.push_back({w.node, w.r + 1, lv.stay_in, agg});
+      cc_stack_.push_back({lv.up, lv.stay_in, agg});
       agg = PooledReply{};  // ownership moved to the stack entry
       first = false;
     }
     for (std::uint32_t e = lv.in_head; e != kNil; e = os.in_arena[e].next) {
+      const InEntry& in = os.in_arena[e];
       Message msg;
       msg.tag = kTagReplyUp;
-      msg.a = origin;
-      msg.b = w.r + 1;
-      msg.c = os.in_arena[e].count;
+      msg.a = os.node;
+      msg.b = row_ref(lv.r + 1, in.peer);
+      msg.c = in.count;
       const bool carried = first;
       if (carried) {
         msg.d = (std::uint64_t{agg.distinct_proxies} << 32) | agg.proxy_nodes;
@@ -548,10 +567,10 @@ void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
         first = false;
       }
       msg.bits = payload_bits(msg.ids.size());
-      net_->send(w.node, os.in_arena[e].port, msg);
+      net_->send(lv.node, in.port, msg);
       if (carried) free_reply(agg);  // send() copied the ids into its pool
     }
-    if (w.node == os.node && w.r == os.length) {  // the walks' injection point
+    if (lv.node == os.node && lv.r == os.length) {  // the walks' injection point
       // Only the first parent-less completion carries the aggregate; its ids
       // go straight from the pool into the caller's buffer.
       IdSpan ids;
@@ -561,7 +580,7 @@ void WalkEngine::credit(NodeId node, NodeId origin, std::uint32_t r,
         distinct = agg.distinct_proxies;
         proxies = agg.proxy_nodes;
       }
-      out.push(WalkEvent::Kind::kConvergecastDone, w.node, origin, ids,
+      out.push(WalkEvent::Kind::kConvergecastDone, lv.node, os.node, ids,
                distinct, proxies);
     }
     free_reply(agg);  // no-op unless no parent consumed the aggregate
@@ -577,39 +596,34 @@ void WalkEngine::begin_flood_down(NodeId origin, IdSpan ids, WalkEvents& out) {
   OriginState* os = find_origin(origin);
   if (os == nullptr || os->length == 0) return;
   const std::uint32_t gen = ++os->flood_gen;
-  flood_at(origin, origin, os->length, gen, ids, out);
+  // Row 0 is the injection point: the stage disposes of it first.
+  assert(os->levels[0].node == origin && os->levels[0].r == os->length);
+  flood_at(*os, 0, gen, ids, out);
 }
 
-void WalkEngine::flood_at(NodeId node, NodeId origin, std::uint32_t r,
+void WalkEngine::flood_at(OriginState& os, std::uint32_t row,
                           std::uint32_t gen, IdSpan ids, WalkEvents& out) {
-  OriginState* osp = find_origin(origin);
-  if (osp == nullptr) return;  // stale message for a never-walked origin
-  OriginState& os = *osp;
-  std::uint32_t level = r;
-  std::uint32_t li = find_level(os, node, level);
-  while (li != kNil) {
+  // Walks down the lazy self-step links, if any walk took them.
+  for (std::uint32_t li = row; li != kNil;) {
     Level& lv = os.levels[li];
     if (lv.flood_seen == gen) return;
     lv.flood_seen = gen;
-    if (level == 0) {
+    if (lv.r == 0) {
       if (lv.units > 0)
-        out.push(WalkEvent::Kind::kFloodAtProxy, node, origin, ids);
+        out.push(WalkEvent::Kind::kFloodAtProxy, lv.node, os.node, ids);
       return;
     }
     for (std::uint32_t e = lv.out_head; e != kNil; e = os.out_arena[e].next) {
       Message msg;
       msg.tag = kTagFloodDown;
-      msg.a = origin;
-      msg.b = level - 1;
+      msg.a = os.node;
+      msg.b = row_ref(lv.r - 1, os.out_arena[e].peer);
       msg.c = gen;
       msg.ids = ids;  // forwarded as a view; send() copies into its pool
       msg.bits = payload_bits(ids.size());
-      net_->send(node, os.out_arena[e].port, msg);
+      net_->send(lv.node, os.out_arena[e].port, msg);
     }
-    // Continue locally through the lazy self-step link, if any walk took
-    // it: those units arrived one level down as stay_in.
-    li = find_level(os, node, --level);
-    if (li != kNil && os.levels[li].stay_in == 0) return;
+    li = lv.down;
   }
 }
 
@@ -618,56 +632,69 @@ void WalkEngine::begin_unicast_up(NodeId node, NodeId origin, IdSpan ids,
   if (out.holds(ids))
     throw std::invalid_argument(
         "begin_unicast_up: ids must not view the event buffer appended to");
-  unicast_at(node, origin, 0, ids, out);
+  OriginState* os = find_origin(origin);
+  if (os == nullptr) return;  // never walked: no trail
+  const std::uint32_t li = find_level(*os, node, 0);
+  if (li == kNil) return;  // not a proxy of the latest walks: no trail
+  unicast_at(*os, li, ids, out);
 }
 
-void WalkEngine::unicast_at(NodeId node, NodeId origin, std::uint32_t r,
-                            IdSpan ids, WalkEvents& out) {
-  OriginState* osp = find_origin(origin);
-  if (osp == nullptr) return;  // stale trail; drop
-  OriginState& os = *osp;
-  for (std::uint32_t level = r;; ++level) {
-    const std::uint32_t li = find_level(os, node, level);
-    if (li == kNil) return;  // stale trail; drop
-    if (node == os.node && level == os.length) {  // the injection point
-      out.push(WalkEvent::Kind::kUnicastAtOrigin, node, origin, ids);
+void WalkEngine::unicast_at(OriginState& os, std::uint32_t row, IdSpan ids,
+                            WalkEvents& out) {
+  for (std::uint32_t li = row;;) {
+    const Level& lv = os.levels[li];
+    if (lv.node == os.node && lv.r == os.length) {  // the injection point
+      out.push(WalkEvent::Kind::kUnicastAtOrigin, lv.node, os.node, ids);
       return;
     }
-    const Level& lv = os.levels[li];
-    if (lv.stay_in > 0) continue;  // lazy self-step: ascend locally
+    if (lv.stay_in > 0) {  // lazy self-step: ascend locally
+      li = lv.up;
+      continue;
+    }
     if (lv.in_head != kNil) {
+      const InEntry& in = os.in_arena[lv.in_head];
       Message msg;
       msg.tag = kTagUnicastUp;
-      msg.a = origin;
-      msg.b = level + 1;
+      msg.a = os.node;
+      msg.b = row_ref(lv.r + 1, in.peer);
       msg.ids = ids;  // forwarded as a view; send() copies into its pool
       msg.bits = payload_bits(ids.size());
-      net_->send(node, os.in_arena[lv.in_head].port, msg);
+      net_->send(lv.node, in.port, msg);
     }
     return;  // sent, or an orphan level (should not happen on full trails)
   }
 }
 
 void WalkEngine::handle(const Delivery& d, WalkEvents& out) {
+  OriginState* os = find_origin(static_cast<NodeId>(d.msg.a));
+  // Only the engine sends these tags, and only for walked origins.
+  assert(os != nullptr);
+  const auto level = static_cast<std::uint32_t>(d.msg.b >> 32);
+  std::uint32_t row = static_cast<std::uint32_t>(d.msg.b);
+  // A flood over a lost token's edge names no row; the (node, level) index
+  // still finds the level if a token over another edge created it.
+  if (row == kNil && d.msg.tag == kTagFloodDown)
+    row = find_level(*os, d.dst, level);
+  if (row == kNil) return;
+  // The named row is the one the (node, level) key finds: trails are fixed
+  // from the end of the walk stage, and every walk-stage delivery is a
+  // token, so no message outlives the trail it names.
+  assert(row < os->levels.size());
+  assert(os->levels[row].node == d.dst && os->levels[row].r == level);
   switch (d.msg.tag) {
     case kTagReplyUp: {
       const PooledReply payload = intern_reply(
           d.msg.ids.data(), static_cast<std::uint32_t>(d.msg.ids.size()),
           static_cast<std::uint32_t>(d.msg.d >> 32),
           static_cast<std::uint32_t>(d.msg.d));
-      credit(d.dst, static_cast<NodeId>(d.msg.a),
-             static_cast<std::uint32_t>(d.msg.b),
-             static_cast<std::uint32_t>(d.msg.c), payload, out);
+      credit(*os, row, static_cast<std::uint32_t>(d.msg.c), payload, out);
       break;
     }
     case kTagFloodDown:
-      flood_at(d.dst, static_cast<NodeId>(d.msg.a),
-               static_cast<std::uint32_t>(d.msg.b),
-               static_cast<std::uint32_t>(d.msg.c), d.msg.ids, out);
+      flood_at(*os, row, static_cast<std::uint32_t>(d.msg.c), d.msg.ids, out);
       break;
     case kTagUnicastUp:
-      unicast_at(d.dst, static_cast<NodeId>(d.msg.a),
-                 static_cast<std::uint32_t>(d.msg.b), d.msg.ids, out);
+      unicast_at(*os, row, d.msg.ids, out);
       break;
     default:
       assert(false && "WalkEngine::handle: unexpected tag");
@@ -687,7 +714,8 @@ WalkEngine::MemoryBytes WalkEngine::memory_bytes() const noexcept {
                 os.index.capacity() * sizeof(std::uint32_t) +
                 os.in_arena.capacity() * sizeof(InEntry) +
                 os.out_arena.capacity() * sizeof(OutEntry) +
-                os.proxies.capacity() * sizeof(NodeId);
+                os.proxies.capacity() * sizeof(NodeId) +
+                os.proxy_rows.capacity() * sizeof(std::uint32_t);
   }
   for (const std::vector<Registration>& regs : registrations_)
     m.trails += regs.capacity() * sizeof(Registration);

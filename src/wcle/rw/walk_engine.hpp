@@ -19,18 +19,39 @@
 // active contenders re-walk with doubled length and re-register).
 //
 // State layout: origins are interned into a dense index, and each origin owns
-// its trails as one flat array of packed 48-byte level rows, one per
-// (node, remaining-level) its walks touched. Rows are found through a
-// per-origin open-addressed index of row numbers keyed by (node, level), so
-// a lookup is a hash, one bucket load and one row load, with no per-node
-// map and no per-slot array to search. A row is a plain struct because every
-// lookup reads several of its fields (units, self-step and port lists,
-// convergecast state) together: one cache line instead of one line per
-// column. Port lists are threaded through per-origin arrival/departure
-// arenas. Every counter in a row is 32-bit: each is bounded by its origin's
-// walk count, which run_walk_stage checks. Counts the code can derive are
-// not stored: a level's self-step departures are the self-step arrivals one
-// level down, and the walks' injection point is (origin, length).
+// its trails as one flat array of packed 56-byte level rows, one per
+// (node, remaining-level) its walks touched. The walk stage finds rows
+// through a per-origin open-addressed index of row numbers keyed by
+// (node, level): a hash, one bucket load and one row load, once per
+// delivered token (its pending bucket carries the row to the disposal) and
+// once per self-step. It keeps that index because CONGEST queueing delays
+// some tokens, so a row can be reached again after it was created (8% of
+// the first 2^20 disposals at n = 65,536). Everything after the stage
+// follows links stored on the trail instead of hashing:
+//
+//  * a walk token carries its sender's row and departure entry (in the
+//    otherwise unused `d` scalar), so the delivery that resolves the
+//    receiver's row links both ends of the edge: InEntry::peer is the
+//    sender's row, OutEntry::peer the receiver's;
+//  * a self-step links the two levels at its node (Level::up and down);
+//  * OriginState::proxy_rows lists the terminal (r == 0) rows, and row 0
+//    is the injection point (origin, length), disposed of first.
+//
+// Reply-up, flood-down and unicast-up messages name the receiver's row and
+// its level in their `b` scalar; the transport copies it and bills only
+// `bits`. The index is probed only by begin_unicast_up, which starts from a
+// (proxy, origin) pair, and by a flood over an edge whose token was lost
+// (drop, crash and link faults): its departure entry has no peer, and the
+// receiver looks the level up, as a level another edge created still takes
+// it.
+//
+// A row is a plain struct because every visit reads several of its fields
+// (units, self-step links and port lists, convergecast state) together: one
+// cache line instead of one line per column. Port lists are threaded
+// through per-origin arrival/departure arenas. Every counter in a row is
+// 32-bit: each is bounded by its origin's walk count, which run_walk_stage
+// checks. A level's self-step departures are not stored: they are the
+// self-step arrivals one level down.
 // Convergecast id sets live in an engine-owned WordPool
 // (support/word_pool.hpp, the transport's payload store too), allocated at
 // the exact size class of each set-union. run_walk_stage sorts each round's
@@ -47,16 +68,19 @@
 // draining by index sees cascaded events join the tail, a plain FIFO.
 //
 // Footprint at the end of one n = 65,536 expander election (graph seed 1,
-// run seed 2: 57 origins, 816,892 level rows), allocated bytes, before
-// (chunked node->slot maps, per-slot level arrays, SoA columns) and now:
+// run seed 2: 57 origins, 816,892 level rows), allocated bytes, with the
+// original layout (chunked node->slot maps, per-slot level arrays, SoA
+// columns), the flat rows without links, and now:
 //
-//   store                            before     now
-//   level rows (88 B -> 48 B/row)     82.2 MB   44.8 MB
-//   (node, level) -> row lookup       35.9 MB    7.5 MB
-//   port arenas                       22.4 MB   18.7 MB
-//   proxies, registrations             4.3 MB    4.3 MB
-//   trail state, total               144.8 MB   75.3 MB
-//   convergecast id-set pool         108.0 MB   11.7 MB
+//   store                        original  unlinked     now
+//   level rows (88 -> 48 -> 56 B)  82.2 MB   44.8 MB   52.3 MB
+//   (node, level) -> row lookup    35.9 MB    7.5 MB    7.5 MB
+//   port arenas (+4 B peer each)   22.4 MB   18.7 MB   26.1 MB
+//   proxies, registrations          4.3 MB    4.3 MB    4.8 MB
+//   trail state, total            144.8 MB   75.3 MB   90.7 MB
+//   convergecast id-set pool      108.0 MB   11.7 MB   11.7 MB
+//
+// The 15 MB of links replace 7.4M hash probes per election at that size.
 #pragma once
 
 #include <cstdint>
@@ -278,6 +302,10 @@ class WalkEngine {
     std::uint32_t stay_in = 0;     ///< units arriving by self-step (r + 1)
     std::uint32_t in_head = kNil;  ///< arrival list head (in_arena) | kNil
     std::uint32_t out_head = kNil; ///< departure list head (out_arena)
+    /// Self-step links: the rows (node, r + 1) and (node, r - 1), set when
+    /// walks self-step into or out of this level | kNil.
+    std::uint32_t up = kNil;
+    std::uint32_t down = kNil;
     std::uint32_t flood_seen = 0;  ///< last flood generation forwarded
     // Convergecast runtime, valid while the owning origin's cc_gen matches
     // the engine counter.
@@ -285,16 +313,21 @@ class WalkEngine {
     PooledReply cc;
   };
 
-  /// One entry of a level's arrival list: `count` units came in over `port`.
+  /// One entry of a level's arrival list: `count` units came in over `port`
+  /// from the sender's row `peer` (one level up at the port's neighbour).
   struct InEntry {
     std::uint32_t count;
     Port port;
     std::uint32_t next;  ///< arena index of the next entry | kNil
+    std::uint32_t peer;
   };
-  /// One entry of a level's departure list.
+  /// One entry of a level's departure list: the receiver's row `peer` (one
+  /// level down at the port's neighbour), or kNil while no token sent over
+  /// `port` has arrived (a lost token leaves it kNil).
   struct OutEntry {
     Port port;
     std::uint32_t next;
+    std::uint32_t peer;
   };
 
   /// All engine state of one interned origin. Rows, index and arenas are
@@ -312,6 +345,7 @@ class WalkEngine {
     std::vector<InEntry> in_arena;    ///< arrival-list entries, all levels
     std::vector<OutEntry> out_arena;  ///< departure-list entries
     std::vector<NodeId> proxies;
+    std::vector<std::uint32_t> proxy_rows;  ///< row (proxies[i], 0)
   };
 
   /// A pending (node, origin, level, units) token bucket of the walk stage,
@@ -321,6 +355,9 @@ class WalkEngine {
     NodeId origin = 0;
     std::uint32_t level = 0;
     std::uint32_t count = 0;
+    /// Row of (node, level), resolved when the bucket was queued | kNil
+    /// (an injection, whose row the disposal creates).
+    std::uint32_t row = kNil;
   };
 
   OriginState& intern(NodeId origin);
@@ -336,13 +373,16 @@ class WalkEngine {
   /// Doubles `os.index` and reinserts every row.
   void grow_index(OriginState& os);
 
-  /// Walk-stage helper: disposes `count` units at (node, origin, r).
+  /// Walk-stage helper: disposes `count` units at (node, origin, r), whose
+  /// row is `row` | kNil.
   void dispose_units(OriginState& os, NodeId node, std::uint32_t r,
-                     std::uint32_t count, std::vector<Pending>& next);
+                     std::uint32_t row, std::uint32_t count,
+                     std::vector<Pending>& next);
 
-  /// Records `count` units arriving at level row `lv` over `port`.
+  /// Records `count` units arriving at level row `lv` over `port` from the
+  /// sender's row `peer`.
   void note_arrival(OriginState& os, std::uint32_t lv, Port port,
-                    std::uint32_t count);
+                    std::uint32_t count, std::uint32_t peer);
 
   /// Convergecast plumbing: copies an id set into the pool, and releases it.
   PooledReply intern_reply(const std::uint64_t* ids, std::uint32_t len,
@@ -352,19 +392,20 @@ class WalkEngine {
   /// sums); both source buffers are recycled.
   void merge_reply(PooledReply& into, PooledReply& from);
 
-  /// Convergecast helper: credits `units`/`payload` to (node, origin, r) and
-  /// cascades completions (locally through stay-links, remotely via sends).
-  void credit(NodeId node, NodeId origin, std::uint32_t r, std::uint32_t units,
+  /// Convergecast helper: credits `units`/`payload` to row `row` and
+  /// cascades completions (locally through self-step links, remotely via
+  /// sends).
+  void credit(OriginState& os, std::uint32_t row, std::uint32_t units,
               PooledReply payload, WalkEvents& out);
 
-  /// Flood helper: processes payload at (node, origin, r) cascading locally
-  /// through stay-links and remotely via out_ports. `gen` identifies the
-  /// flood generation for deduplication.
-  void flood_at(NodeId node, NodeId origin, std::uint32_t r, std::uint32_t gen,
+  /// Flood helper: processes payload at row `row`, cascading locally
+  /// through self-step links and remotely via the departure list. `gen`
+  /// identifies the flood generation for deduplication.
+  void flood_at(OriginState& os, std::uint32_t row, std::uint32_t gen,
                 IdSpan ids, WalkEvents& out);
 
-  /// Unicast helper: advances toward the origin from (node, origin, r).
-  void unicast_at(NodeId node, NodeId origin, std::uint32_t r, IdSpan ids,
+  /// Unicast helper: advances toward the origin from row `row`.
+  void unicast_at(OriginState& os, std::uint32_t row, IdSpan ids,
                   WalkEvents& out);
 
   std::uint32_t token_bits(std::uint32_t remaining) const;
@@ -386,10 +427,9 @@ class WalkEngine {
   std::uint32_t cc_gen_ = 0;  ///< bumped by begin_convergecast (state reset)
   WordPool cc_pool_;          ///< id-set buffers, rewound per generation
 
-  /// credit()'s work stack: (node, level, units, payload) still to fold in.
+  /// credit()'s work stack: (row, units, payload) still to fold in.
   struct CreditWork {
-    NodeId node;
-    std::uint32_t r;
+    std::uint32_t row;
     std::uint32_t units;
     PooledReply payload;
   };

@@ -9,6 +9,17 @@
 
 namespace wcle {
 
+namespace {
+
+/// B-bit quanta a `bits`-bit message takes: ceil(bits / B), in 64 bits so
+/// that a bandwidth near 2^32 cannot wrap the sum.
+std::uint32_t quanta_of(std::uint32_t bits, std::uint32_t bandwidth) noexcept {
+  return static_cast<std::uint32_t>(
+      (std::uint64_t{bits} + bandwidth - 1) / bandwidth);
+}
+
+}  // namespace
+
 Network::Network(const Graph& g, CongestConfig cfg)
     : g_(&g), cfg_(cfg), drop_rng_(cfg.drop_seed) {
   if (cfg_.bandwidth_bits == 0)
@@ -23,6 +34,10 @@ Network::Network(const Graph& g, CongestConfig cfg)
     cfg_.trace->begin_segment();
   }
   first_lane_ = lane_bases(g);
+  // The active list names lanes in 32 bits.
+  if (first_lane_.back() >= (std::uint64_t{1} << 32))
+    throw std::invalid_argument(
+        "Network: graphs with 2^32 or more directed edges are not supported");
   lanes_.resize(first_lane_.back());
   lane_src_.resize(lanes_.size());
   for (NodeId v = 0; v < g.node_count(); ++v)
@@ -112,19 +127,18 @@ void Network::send(NodeId from, Port port, const Message& msg) {
   }
 
   Lane& l = lanes_[lane];
-  if (l.tail == kNil)
+  if (l.tail == kNil) {
     l.head = slot;
-  else
+    // wcle-lint: no-alloc-ok(bounded by directed edges; warms once)
+    active_.push_back({static_cast<std::uint32_t>(lane),
+                       quanta_of(msg.bits, cfg_.bandwidth_bits), msg.tag});
+  } else {
     msgs_[l.tail].next = slot;
+  }
   l.tail = slot;
   l.count += 1;
   metrics_.max_edge_backlog =
       std::max<std::uint64_t>(metrics_.max_edge_backlog, l.count);
-  if (!l.active) {
-    l.active = true;
-    // wcle-lint: no-alloc-ok(bounded by directed edges; warms once)
-    active_.push_back(lane);
-  }
 }
 
 const std::vector<Delivery>& Network::step() {
@@ -168,72 +182,75 @@ const std::vector<Delivery>& Network::step() {
   // Serve one quantum per backlogged directed edge, in activation order.
   // New sends happen strictly between rounds, so iterating the active list
   // while compacting drained lanes out of it is safe.
-  const std::uint32_t B = cfg_.bandwidth_bits;
-  std::uint64_t write = 0;
-  const std::uint64_t count = active_.size();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t lane = active_[i];
-    Lane& l = lanes_[lane];
-    // Drained lanes leave the list in the pass that drains them, and only
-    // send() adds lanes, so every listed lane has a queued message.
+  std::size_t write = 0;
+  const std::size_t count = active_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    ActiveLane a = active_[i];
+    metrics_.congest_messages += 1;
+    metrics_.congest_messages_by_tag[a.tag] += 1;
+    if (--a.quanta_left > 0) {  // partial quantum: the head stays queued
+      active_[write++] = a;
+      continue;
+    }
+    // The head's last quantum. Drained lanes leave the list in the pass
+    // that drains them, and only send() adds lanes, so every listed lane
+    // has a queued message.
+    Lane& l = lanes_[a.lane];
     assert(l.head != kNil);
     const QueuedMessage& head = msgs_[l.head];
-    metrics_.congest_messages += 1;
-    metrics_.congest_messages_by_tag[head.tag] += 1;
-    l.served_bits += B;
-    if (l.served_bits >= head.bits) {
-      // Fully transmitted. A message eaten by a fault has still paid its
-      // congestion bill; it just never reaches the other endpoint. Link and
-      // crash faults are checked first and consume no drop draw.
-      const NodeId from = lane_src_[lane];
-      const Port port = static_cast<Port>(lane - first_lane_[from]);
-      const NodeId dst = g_->neighbor(from, port);
-      bool eaten = true;
-      if (faults_ && !faults_->link_up(from, port)) {
-        metrics_.link_dropped_messages += 1;
-      } else if (faults_ &&
-                 (!faults_->node_up(from) || !faults_->node_up(dst))) {
-        // Sender died before the transmission completed, or the receiver
-        // is down — crash-stop eats the message either way.
-        metrics_.crash_dropped_messages += 1;
-      } else if (cfg_.drop_probability > 0.0 &&
-                 drop_rng_.next_bool(cfg_.drop_probability)) {
-        metrics_.dropped_messages += 1;
-      } else {
-        eaten = false;
-        Delivery d;
-        d.dst = dst;
-        d.port = g_->mirror_port(from, port);
-        d.msg.tag = head.tag;
-        d.msg.a = head.a;
-        d.msg.b = head.b;
-        d.msg.c = head.c;
-        d.msg.d = head.d;
-        d.msg.bits = head.bits;
-        if (head.ids_len > 0)
-          d.msg.ids = IdSpan(ids_.data(head.ids), head.ids_len);
-        // wcle-lint: no-alloc-ok(capacity pinned flat by the pool_stats test)
-        delivered_.push_back(d);
-        // The view must outlive this step; release the payload next step.
-        if (head.ids_len > 0)
-          // wcle-lint: no-alloc-ok(bounded by deliveries per round; warms once)
-          retired_ids_.push_back({head.ids, head.ids_len});
-      }
-      if (eaten && head.ids_len > 0) {
-        ids_.free(head.ids, head.ids_len);
-        --id_live_;
-      }
-      const std::uint32_t served = l.head;
-      l.head = head.next;
-      if (l.head == kNil) l.tail = kNil;
-      l.count -= 1;
-      free_msg(served);
-      l.served_bits = 0;
+    // Fully transmitted. A message eaten by a fault has still paid its
+    // congestion bill; it just never reaches the other endpoint. Link and
+    // crash faults are checked first and consume no drop draw.
+    const NodeId from = lane_src_[a.lane];
+    const Port port = static_cast<Port>(a.lane - first_lane_[from]);
+    const NodeId dst = g_->neighbor(from, port);
+    bool eaten = true;
+    if (faults_ && !faults_->link_up(from, port)) {
+      metrics_.link_dropped_messages += 1;
+    } else if (faults_ &&
+               (!faults_->node_up(from) || !faults_->node_up(dst))) {
+      // Sender died before the transmission completed, or the receiver
+      // is down — crash-stop eats the message either way.
+      metrics_.crash_dropped_messages += 1;
+    } else if (cfg_.drop_probability > 0.0 &&
+               drop_rng_.next_bool(cfg_.drop_probability)) {
+      metrics_.dropped_messages += 1;
+    } else {
+      eaten = false;
+      Delivery d;
+      d.dst = dst;
+      d.port = g_->mirror_port(from, port);
+      d.msg.tag = head.tag;
+      d.msg.a = head.a;
+      d.msg.b = head.b;
+      d.msg.c = head.c;
+      d.msg.d = head.d;
+      d.msg.bits = head.bits;
+      if (head.ids_len > 0)
+        d.msg.ids = IdSpan(ids_.data(head.ids), head.ids_len);
+      // wcle-lint: no-alloc-ok(capacity pinned flat by the pool_stats test)
+      delivered_.push_back(d);
+      // The view must outlive this step; release the payload next step.
+      if (head.ids_len > 0)
+        // wcle-lint: no-alloc-ok(bounded by deliveries per round; warms once)
+        retired_ids_.push_back({head.ids, head.ids_len});
     }
-    if (l.head == kNil)
-      l.active = false;
-    else
-      active_[write++] = lane;
+    if (eaten && head.ids_len > 0) {
+      ids_.free(head.ids, head.ids_len);
+      --id_live_;
+    }
+    const std::uint32_t served = l.head;
+    l.head = head.next;
+    l.count -= 1;
+    free_msg(served);
+    if (l.head == kNil) {  // drained: the lane leaves the list
+      l.tail = kNil;
+      continue;
+    }
+    const QueuedMessage& next = msgs_[l.head];
+    a.quanta_left = quanta_of(next.bits, cfg_.bandwidth_bits);
+    a.tag = next.tag;
+    active_[write++] = a;
   }
   // wcle-lint: no-alloc-ok(shrinks to compacted prefix; never grows)
   active_.resize(write);

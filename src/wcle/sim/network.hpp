@@ -10,7 +10,9 @@
 // that pool; variable-length payloads are copied into a WordPool
 // (support/word_pool.hpp), which rewinds whenever it drains. Deliveries are
 // views into those pools — the steady-state hot path performs no heap
-// allocation.
+// allocation. The active list carries each backlogged lane's head quanta
+// count and tag, so the quanta that do not complete a message (most of
+// them: large payloads span many B-bit quanta) touch that list only.
 //
 // Determinism: lanes join the active list in activation order and drained
 // lanes are compacted out in place, so step() serves lanes in a fixed order
@@ -193,13 +195,21 @@ class Network {
     std::uint8_t tag = 0;
   };
 
-  /// Per-directed-edge FIFO: head/tail indices into the message pool.
+  /// Per-directed-edge FIFO: head/tail indices into the message pool. A
+  /// lane is on the active list exactly while it holds a message.
   struct Lane {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
-    std::uint32_t count = 0;        ///< queued messages (backlog metric)
-    std::uint32_t served_bits = 0;  ///< bits of the head already transmitted
-    bool active = false;            ///< registered in the active list
+    std::uint32_t count = 0;  ///< queued messages (backlog metric)
+  };
+
+  /// One backlogged lane on the active list, with what serving its head
+  /// needs until the last quantum: a partial quantum reads and writes this
+  /// entry only, never the lane or the queued message.
+  struct ActiveLane {
+    std::uint32_t lane;
+    std::uint32_t quanta_left;  ///< quanta of the head still to serve, >= 1
+    std::uint8_t tag;           ///< the head's tag (per-tag quanta bill)
   };
 
   std::uint64_t lane_index(NodeId from, Port port) const noexcept {
@@ -214,8 +224,8 @@ class Network {
   std::vector<std::uint64_t> first_lane_;  ///< per-node base into lanes_
   std::vector<NodeId> lane_src_;           ///< lane -> sending node
   std::vector<Lane> lanes_;                ///< one per directed edge
-  /// Lane indices with traffic, in activation order.
-  std::vector<std::uint64_t> active_;
+  /// Lanes with traffic, in activation order.
+  std::vector<ActiveLane> active_;
   std::vector<QueuedMessage> msgs_;  ///< message pool
   std::vector<std::uint32_t> free_msgs_;
   WordPool ids_;  ///< payload storage, rewound whenever nothing is live

@@ -259,5 +259,37 @@ TEST(CliBinary, RunReadsFaultAxesItOnceIgnored) {
   EXPECT_EQ(r.err.find("was ignored"), std::string::npos) << r.err;
 }
 
+TEST(CliBinary, SweepTraceFlagsOfZeroFailWithTheGrammarsError) {
+  if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
+  for (const std::string key : {"trace-walks", "trace-every"}) {
+    const CliRun r =
+        run_cli("sweep algo=election family=expander n=16 trials=1 --" +
+                key + "=0");
+    EXPECT_EQ(r.status, 2) << key;
+    EXPECT_NE(r.err.find("spec: " + key + "=0"), std::string::npos) << r.err;
+  }
+}
+
+TEST(CliBinary, SweepTraceWalksFlagRidesInTheHeaderSpec) {
+  if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
+  const std::string trace = testing::TempDir() + "wcle_cli_sweep.jsonl";
+  const std::string grid =
+      "sweep algo=election family=expander n=16 trials=1 --format=jsonl "
+      "--trace=" + trace;
+  // A bare flag means every walk...
+  CliRun r = run_cli(grid + " --trace-walks");
+  ASSERT_EQ(r.status, 0) << r.err;
+  EXPECT_EQ(read_trace_file(trace).header.spec,
+            "name=custom algo=election family=expander n=16 "
+            "bandwidth=standard drop=0 trace-walks=1 trials=1 base-seed=1000 "
+            "graph-seed=1");
+  // ...and an explicit grid token wins over the flag.
+  r = run_cli(grid + " trace-walks=4 --trace-walks=2");
+  ASSERT_EQ(r.status, 0) << r.err;
+  EXPECT_NE(read_trace_file(trace).header.spec.find(" trace-walks=4 "),
+            std::string::npos);
+  std::remove(trace.c_str());
+}
+
 }  // namespace
 }  // namespace wcle

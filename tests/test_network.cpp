@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "wcle/core/leader_election.hpp"
 #include "wcle/graph/generators.hpp"
 
 namespace wcle {
@@ -115,6 +116,37 @@ TEST(Network, RunUntilIdleRespectsMaxRounds) {
       net.run_until_idle([](const Delivery&) {}, 3);
   EXPECT_EQ(used, 3u);
   EXPECT_FALSE(net.idle());
+}
+
+TEST(Network, RunUntilIdleCanStopInsideAMultiQuantumMessage) {
+  const Graph g = make_path(2);
+  Network net(g, {8});
+  net.send(0, 0, small_msg(7, 32));  // four quanta at B = 8
+  net.send(0, 0, small_msg(9, 8));   // then one more, another tag
+  std::uint64_t delivered = 0;
+  const auto count = [&delivered](const Delivery&) { ++delivered; };
+  EXPECT_EQ(net.run_until_idle(count, 2), 2u);
+  EXPECT_FALSE(net.idle());
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(net.metrics().congest_messages_by_tag[7], 2u);
+  EXPECT_EQ(net.metrics().congest_messages_by_tag[9], 0u);
+  EXPECT_EQ(net.run_until_idle(count), 3u);
+  EXPECT_EQ(delivered, 2u);
+  EXPECT_EQ(net.metrics().congest_messages_by_tag[7], 4u);
+  EXPECT_EQ(net.metrics().congest_messages_by_tag[9], 1u);
+}
+
+TEST(Network, MaximalBandwidthElectionBillsOneQuantumPerMessage) {
+  // At B = 2^32 - 1 every message fits one quantum; a quanta count that
+  // wrapped in 32 bits would never drain its lane.
+  const Graph g = make_hypercube(6);
+  ElectionParams params;
+  params.seed = 3;
+  params.bandwidth_bits = 0xffffffffu;
+  const ElectionResult r = run_leader_election(g, params);
+  EXPECT_TRUE(r.success());
+  EXPECT_GT(r.totals.logical_messages, 0u);
+  EXPECT_EQ(r.totals.congest_messages, r.totals.logical_messages);
 }
 
 TEST(Network, TagMetricsBreakdown) {

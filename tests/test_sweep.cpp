@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -89,6 +90,29 @@ TEST(Sweep, DropAxisLosesMessagesDeterministically) {
   // And the faulty cell is exactly reproducible.
   const std::vector<CellResult> again = run_sweep(spec);
   EXPECT_EQ(to_json(results[1]), to_json(again[1]));
+}
+
+#ifndef WCLE_SOURCE_DIR
+#define WCLE_SOURCE_DIR "."
+#endif
+
+TEST(Sweep, LossyElectionGridMatchesItsRecordedJsonl) {
+  // Under drop > 0 a walk token can be lost while a later flood over the
+  // same edge gets through. The receiver's level then has no link from the
+  // sender's departure entry, and the walk engine must fall back to the
+  // (node, level) lookup, which finds the level when a token over another
+  // edge created it. This grid takes that path thousands of times; its
+  // JSONL was recorded before the trail carried links.
+  const std::string golden =
+      std::string(WCLE_SOURCE_DIR) + "/tests/golden/drop_grid.jsonl";
+  std::ifstream in(golden, std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << "missing golden JSONL: " << golden;
+  std::ostringstream recorded;
+  recorded << in.rdbuf();
+  const ExperimentSpec spec =
+      parse_spec("algo=election,known_tmix family=expander n=128,256 "
+                 "drop=0.05,0.2 trials=3");
+  EXPECT_EQ(jsonl_of(spec, /*threads=*/2), recorded.str());
 }
 
 TEST(Sweep, ElectionSurvivesMildFaultsAndTerminatesUnderHeavyOnes) {
