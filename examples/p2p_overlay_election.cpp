@@ -69,6 +69,7 @@ int main(int argc, char** argv) {
             << " peers the polylog constants still dominate; the paper's "
                "asymptotic ordering (broadcast > election, election < "
                "flooding) takes over on larger / denser overlays (see "
-               "bench_e4 and bench_e9 for the crossovers).\n";
+               "wcle_cli sweep --spec=e4 and --spec=e9 for the "
+               "crossovers).\n";
   return ours.success ? 0 : 1;
 }

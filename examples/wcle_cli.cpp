@@ -326,8 +326,10 @@ int cmd_sweep(const CliArgs& args) {
   ExperimentSpec spec;
   const std::string spec_name = args.get("spec", "");
   if (!spec_name.empty()) {
-    const std::uint64_t scale_raw = args.get_u64(
-        "scale", static_cast<std::uint64_t>(default_bench_scale()));
+    // An explicit --scale wins without reading WCLE_BENCH_SCALE.
+    const std::uint64_t scale_raw =
+        args.has("scale") ? args.get_u64("scale", 1)
+                          : static_cast<std::uint64_t>(default_bench_scale());
     if (scale_raw > 2)
       throw std::invalid_argument("--scale=" + std::to_string(scale_raw) +
                                   " (0 = quick, 1 = default, 2 = extended)");
@@ -633,7 +635,7 @@ int cmd_serve(const CliArgs& args) {
 
 void usage() {
   std::cout <<
-      "usage: wcle_cli <command> [options]\n"
+      "usage: wcle_cli <command> [options]   (--help: this text)\n"
       "  registry: list [--format=json]\n"
       "            run    --algo=<name> [--format=json]\n"
       "            trials --algo=<name> --trials=<k> [--threads=<t>]\n"
@@ -692,6 +694,10 @@ void warn_unconsumed(const CliArgs& args) {
 int main(int argc, char** argv) {
   try {
     const CliArgs args = CliArgs::parse(argc, argv);
+    if (args.has("help")) {
+      usage();
+      return 0;
+    }
     int rc = 2;
     if (args.command() == "list") rc = cmd_list(args);
     else if (args.command() == "run") rc = cmd_run(args);

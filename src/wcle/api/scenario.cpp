@@ -424,11 +424,13 @@ std::string ExperimentSpec::to_string() const {
 }
 
 int default_bench_scale() {
-  if (const char* s = std::getenv("WCLE_BENCH_SCALE")) {
-    const int v = std::atoi(s);
-    if (v >= 0 && v <= 2) return v;
-  }
-  return 1;
+  const char* s = std::getenv("WCLE_BENCH_SCALE");
+  if (!s) return 1;
+  const auto v = strict_u64(s);
+  if (!v || *v > 2)
+    throw std::invalid_argument(std::string("WCLE_BENCH_SCALE=") + s +
+                                " (0 = quick, 1 = default, 2 = extended)");
+  return static_cast<int>(*v);
 }
 
 // ------------------------------------------------------------- builtins
@@ -561,7 +563,7 @@ ExperimentSpec builtin_experiment(const std::string& name, int scale) {
               "elections)";
     s.note = "with the true n the election stays correct on the dumbbell; "
              "the split-brain half-runs of the indistinguishability argument "
-             "are bench_e11's supplemental table";
+             "are asserted in tests/test_claims.cpp";
     s.algorithms = {"election"};
     s.families = {"dumbbell:torus", "dumbbell:hypercube"};
     s.sizes = pick<std::uint64_t>(scale, {128}, {128, 288}, {128, 288, 512});

@@ -143,7 +143,8 @@ std::vector<std::string> builtin_experiment_names();
 /// One-line summaries (name -> title) for `wcle_cli list`.
 std::vector<std::pair<std::string, std::string>> builtin_experiment_titles();
 
-/// WCLE_BENCH_SCALE from the environment, clamped to [0, 2]; 1 when unset.
+/// WCLE_BENCH_SCALE from the environment; 1 when unset. Throws
+/// std::invalid_argument naming the variable for any value but 0, 1 or 2.
 int default_bench_scale();
 
 }  // namespace wcle

@@ -1,5 +1,6 @@
 #include "wcle/serve/server.hpp"
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -36,7 +37,7 @@ ExperimentSpec spec_from_body(const std::string& body) {
   std::istringstream in(body);
   std::vector<std::string> tokens;
   std::string builtin;
-  int scale = default_bench_scale();
+  std::optional<int> scale;
   std::string token;
   while (in >> token) {
     if (token.rfind("spec=", 0) == 0) {
@@ -52,7 +53,9 @@ ExperimentSpec spec_from_body(const std::string& body) {
     }
   }
   if (!builtin.empty())
-    return parse_spec_onto(builtin_experiment(builtin, scale), tokens);
+    return parse_spec_onto(
+        builtin_experiment(builtin, scale ? *scale : default_bench_scale()),
+        tokens);
   if (tokens.empty())
     throw std::invalid_argument(
         "empty spec (body must hold grid-grammar tokens or spec=<e1..e14>)");

@@ -216,11 +216,12 @@ std::string slurp(const std::string& path) {
 
 std::string cli_binary() { return std::string(WCLE_BINARY_DIR) + "/wcle_cli"; }
 
-CliRun run_cli(const std::string& args) {
+/// Runs wcle_cli with `args`; `env` (e.g. "VAR=value") prefixes the command.
+CliRun run_cli(const std::string& args, const std::string& env = "") {
   const std::string out = testing::TempDir() + "wcle_cli_test.out";
   const std::string err = testing::TempDir() + "wcle_cli_test.err";
   const std::string cmd =
-      cli_binary() + " " + args + " >" + out + " 2>" + err;
+      env + " " + cli_binary() + " " + args + " >" + out + " 2>" + err;
   CliRun r;
   r.status = WEXITSTATUS(std::system(cmd.c_str()));
   r.out = slurp(out);
@@ -268,6 +269,29 @@ TEST(CliBinary, SweepTraceFlagsOfZeroFailWithTheGrammarsError) {
     EXPECT_EQ(r.status, 2) << key;
     EXPECT_NE(r.err.find("spec: " + key + "=0"), std::string::npos) << r.err;
   }
+}
+
+TEST(CliBinary, HelpPrintsUsageAndRunsNothing) {
+  if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
+  const std::string trace = testing::TempDir() + "wcle_cli_help.jsonl";
+  std::remove(trace.c_str());
+  for (const std::string command : {"", "run", "trials", "sweep", "list"}) {
+    const CliRun r = run_cli(command + " --help --trace=" + trace);
+    EXPECT_EQ(r.status, 0) << command;
+    EXPECT_EQ(r.out.rfind("usage: wcle_cli", 0), 0u) << command << r.out;
+    EXPECT_EQ(r.err, "") << command;
+  }
+  EXPECT_NE(access(trace.c_str(), F_OK), 0) << "--help ran a traced command";
+}
+
+TEST(CliBinary, ScaleFlagWinsOverAMalformedScaleEnvironment) {
+  if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
+  const std::string env = "WCLE_BENCH_SCALE=3";
+  CliRun r = run_cli("sweep --spec=e1 n=16 trials=1", env);
+  EXPECT_EQ(r.status, 2);
+  EXPECT_NE(r.err.find("WCLE_BENCH_SCALE=3"), std::string::npos) << r.err;
+  r = run_cli("sweep --spec=e1 --scale=0 n=16 trials=1", env);
+  EXPECT_EQ(r.status, 0) << r.err;
 }
 
 TEST(CliBinary, SweepTraceWalksFlagRidesInTheHeaderSpec) {

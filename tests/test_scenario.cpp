@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <stdexcept>
 
@@ -197,6 +198,29 @@ TEST(Builtins, ToStringRoundTripsTheGrid) {
     EXPECT_EQ(reparsed.knobs, spec.knobs) << name;
     EXPECT_EQ(reparsed.cell_count(), spec.cell_count()) << name;
   }
+}
+
+TEST(Builtins, BenchScaleEnvironmentIsParsedStrictly) {
+  unsetenv("WCLE_BENCH_SCALE");
+  EXPECT_EQ(default_bench_scale(), 1);
+  for (const int scale : {0, 1, 2}) {
+    setenv("WCLE_BENCH_SCALE", std::to_string(scale).c_str(), 1);
+    EXPECT_EQ(default_bench_scale(), scale);
+  }
+  // atoi used to read "3" as 1 and "x" as 0.
+  for (const char* bad :
+       {"3", "x", "", "1x", "-1", "+1", "18446744073709551616"}) {
+    setenv("WCLE_BENCH_SCALE", bad, 1);
+    try {
+      default_bench_scale();
+      ADD_FAILURE() << "accepted WCLE_BENCH_SCALE=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("WCLE_BENCH_SCALE"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  unsetenv("WCLE_BENCH_SCALE");
 }
 
 TEST(Builtins, ScaleZeroStaysSmall) {

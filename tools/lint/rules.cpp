@@ -172,7 +172,7 @@ void rule_banned_rng(const std::vector<Token>& toks, RuleSink& sink) {
                 t.text +
                     "::now() is banned in simulation code: wall-clock reads "
                     "make executions time-dependent (timing belongs in "
-                    "bench/CLI layers only)");
+                    "perfbench/ only)");
       continue;
     }
 
