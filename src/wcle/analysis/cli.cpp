@@ -50,18 +50,10 @@ std::uint64_t CliArgs::get_u64(const std::string& key,
   consumed_.insert(key);
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  // std::stoull accepts "-1" (also " -1", skipping whitespace) and wraps it
-  // to 2^64-1; require the value to lead with a digit so negatives and
-  // whitespace-padded negatives are rejected up front.
-  if (it->second.empty() || it->second[0] < '0' || it->second[0] > '9')
-    throw std::invalid_argument("CliArgs: --" + key +
-                                " expects a non-negative integer, got '" +
-                                it->second + "'");
-  std::size_t used = 0;
-  const std::uint64_t v = std::stoull(it->second, &used);
-  if (used != it->second.size())
-    throw std::invalid_argument("CliArgs: bad integer for --" + key);
-  return v;
+  if (const auto v = strict_u64(it->second)) return *v;
+  throw std::invalid_argument("CliArgs: --" + key +
+                              " expects a non-negative integer, got '" +
+                              it->second + "'");
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {

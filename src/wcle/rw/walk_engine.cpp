@@ -88,6 +88,11 @@ WalkEngine::WalkEngine(const Graph& g, Network& net, Rng& rng,
   base_bits_ = id_bits_ + 2 * ceil_log2(g.node_count()) + 8;
   origin_index_.assign(g.node_count(), kNoOrigin);
   registrations_.resize(g.node_count());
+  // p = 1/k for k = 1..max degree, and at least 1/2 (the lazy stay).
+  const std::uint32_t ports = std::max<std::uint32_t>(2, g.max_degree());
+  split_.reserve(ports);
+  for (std::uint32_t k = 1; k <= ports; ++k)
+    split_.emplace_back(1.0 / double(k));
 }
 
 std::uint32_t WalkEngine::token_bits(std::uint32_t /*remaining*/) const {
@@ -230,8 +235,7 @@ const std::vector<NodeId>& WalkEngine::proxy_nodes(NodeId origin) const {
 }
 
 void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
-                               std::uint32_t row, std::uint32_t count,
-                               std::vector<Pending>& next) {
+                               std::uint32_t row, std::uint32_t count) {
   const std::uint32_t li = row != kNil ? row : level_at(os, node, r);
   os.levels[li].units += count;
   if (r == 0) {
@@ -251,7 +255,7 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
   }
 
   const auto stays = static_cast<std::uint32_t>(
-      config_.lazy ? rng_->next_binomial(count, 0.5) : 0);
+      config_.lazy ? rng_->next_binomial(count, split_p(2)) : 0);
   const std::uint32_t movers = count - stays;
   if (stays > 0) {
     // level_at may grow the rows; li-indexed access stays valid.
@@ -259,8 +263,8 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
     os.levels[below].stay_in += stays;
     os.levels[below].up = li;
     os.levels[li].down = below;
-    // wcle-lint: no-alloc-ok(phase-local queue; warm after round one)
-    next.push_back({node, os.node, r - 1, stays, below});
+    // wcle-lint: no-alloc-ok(engine-owned queue; warm after one stage)
+    next_steps_.push_back({node, os.node, r - 1, stays, below});
   }
   if (movers == 0) return;
 
@@ -268,8 +272,7 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
   std::uint64_t left = movers;
   for (Port p = 0; p < deg && left > 0; ++p) {
     const std::uint64_t sent =
-        (p + 1 == deg) ? left
-                       : rng_->next_binomial(left, 1.0 / double(deg - p));
+        (p + 1 == deg) ? left : rng_->next_binomial(left, split_p(deg - p));
     if (sent == 0) continue;
     left -= sent;
     std::uint32_t tail = kNil;
@@ -316,25 +319,31 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
     if (x.origin != y.origin) return x.origin < y.origin;
     return x.level > y.level;
   };
+  const auto same_key = [](const Pending& x, const Pending& y) {
+    return x.node == y.node && x.origin == y.origin && x.level == y.level;
+  };
 
   // Every count in a level row is bounded by its origin's walk count, so
   // one order per origin and 32-bit counts keep the rows' counters exact.
-  std::vector<Pending> cur, next;
+  // The injections are round zero's self-steps.
+  steps_.clear();
+  next_steps_.clear();
+  arrivals_.clear();
   for (const WalkOrder& o : orders) {
     if (o.count == 0 || o.length == 0)
       throw std::invalid_argument("run_walk_stage: count/length must be >= 1");
     if (o.count > 0xffffffffull)
       throw std::invalid_argument(
           "run_walk_stage: count must fit 32 bits (level counters are 32-bit)");
-    // wcle-lint: no-alloc-ok(stage setup, once per phase)
-    cur.push_back({o.origin, o.origin, o.length,
-                   static_cast<std::uint32_t>(o.count)});
+    // wcle-lint: no-alloc-ok(engine-owned queue; warm after one stage)
+    steps_.push_back({o.origin, o.origin, o.length,
+                      static_cast<std::uint32_t>(o.count)});
   }
-  std::sort(cur.begin(), cur.end(), by_token);
-  if (std::adjacent_find(cur.begin(), cur.end(),
+  std::sort(steps_.begin(), steps_.end(), by_token);
+  if (std::adjacent_find(steps_.begin(), steps_.end(),
                          [](const Pending& x, const Pending& y) {
                            return x.origin == y.origin;
-                         }) != cur.end())
+                         }) != steps_.end())
     throw std::invalid_argument("run_walk_stage: duplicate origin");
   for (const WalkOrder& o : orders) clear_origin(o.origin);
   for (const WalkOrder& o : orders) intern(o.origin).length = o.length;
@@ -346,24 +355,37 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
   // branch per delivery and the recorder is never consulted.
   TraceRecorder* const rec = net_->config().trace;
   const bool trace_walks = rec != nullptr && rec->trace_walks() != 0;
-  while (!cur.empty() || !net_->idle()) {
-    // Coalesce this round's tokens: sorted by (node, origin, level desc),
-    // equal keys are adjacent and dispose as one bucket of summed units.
-    std::sort(cur.begin(), cur.end(), by_token);
-    for (std::size_t i = 0; i < cur.size();) {
-      std::uint32_t total = cur[i].count;
-      std::size_t j = i + 1;
-      while (j < cur.size() && cur[j].node == cur[i].node &&
-             cur[j].origin == cur[i].origin && cur[j].level == cur[i].level) {
-        total += cur[j].count;
-        ++j;
+  while (!steps_.empty() || !arrivals_.empty() || !net_->idle()) {
+    // Coalesce this round's buckets in (node, origin, level desc) order.
+    // dispose_units appended the self-steps in that order already (one
+    // level below each disposal), so only the deliveries are sorted; the
+    // two runs merge, and equal keys, which name the same row, dispose as
+    // one bucket of summed units.
+    assert(std::is_sorted(steps_.begin(), steps_.end(), by_token));
+    std::sort(arrivals_.begin(), arrivals_.end(), by_token);
+    std::size_t i = 0, j = 0;
+    while (i < steps_.size() || j < arrivals_.size()) {
+      const Pending& key =
+          i < steps_.size() &&
+                  (j == arrivals_.size() || !by_token(arrivals_[j], steps_[i]))
+              ? steps_[i]
+              : arrivals_[j];
+      std::uint32_t total = 0;
+      for (; i < steps_.size() && same_key(steps_[i], key); ++i) {
+        assert(steps_[i].row == key.row);
+        total += steps_[i].count;
       }
-      OriginState* os = find_origin(cur[i].origin);
+      for (; j < arrivals_.size() && same_key(arrivals_[j], key); ++j) {
+        assert(arrivals_[j].row == key.row);
+        total += arrivals_[j].count;
+      }
+      OriginState* os = find_origin(key.origin);
       assert(os != nullptr);
-      dispose_units(*os, cur[i].node, cur[i].level, cur[i].row, total, next);
-      i = j;
+      dispose_units(*os, key.node, key.level, key.row, total);
     }
-    cur.clear();
+    steps_.swap(next_steps_);
+    next_steps_.clear();
+    arrivals_.clear();
 
     // wcle-lint: no-alloc-transitive-ok(reaches only fault-event scratch)
     const std::vector<Delivery>& delivered = net_->step();
@@ -386,10 +408,9 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
       note_arrival(*os, row, d.port, count,
                    static_cast<std::uint32_t>(d.msg.d >> 32));
       os->out_arena[static_cast<std::uint32_t>(d.msg.d)].peer = row;
-      // wcle-lint: no-alloc-ok(phase-local queue; warm after round one)
-      next.push_back({d.dst, origin, r, count, row});
+      // wcle-lint: no-alloc-ok(engine-owned queue; warm after one stage)
+      arrivals_.push_back({d.dst, origin, r, count, row});
     }
-    cur.swap(next);
   }
   return net_->round() - round0;
 }
@@ -708,6 +729,9 @@ WalkEngine::MemoryBytes WalkEngine::memory_bytes() const noexcept {
              origin_index_.capacity() * sizeof(std::uint32_t) +
              registrations_.capacity() * sizeof(registrations_[0]) +
              cc_stack_.capacity() * sizeof(CreditWork) +
+             split_.capacity() * sizeof(BinomialConstants) +
+             (steps_.capacity() + next_steps_.capacity() +
+              arrivals_.capacity()) * sizeof(Pending) +
              proxy_payload_.ids.capacity() * sizeof(std::uint64_t);
   for (const OriginState& os : origins_) {
     m.trails += os.levels.capacity() * sizeof(Level) +

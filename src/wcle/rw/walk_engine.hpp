@@ -54,10 +54,14 @@
 // self-step arrivals one level down.
 // Convergecast id sets live in an engine-owned WordPool
 // (support/word_pool.hpp, the transport's payload store too), allocated at
-// the exact size class of each set-union. run_walk_stage sorts each round's
-// tokens once and disposes of them in that order, so the coalesced RNG draws
-// follow a fixed sequence. After the first phase the engine performs no
-// steady-state allocation.
+// the exact size class of each set-union. run_walk_stage disposes of each
+// round's token buckets in (node, origin, level desc) order, so the
+// coalesced RNG draws follow a fixed sequence: it sorts the round's
+// deliveries and merges them with the self-steps, which the previous
+// round's disposals queued in that order already. The binomial splits
+// draw with constants built once per engine (p = 1/2 and 1/k per port
+// count), so a single-unit split is a threshold comparison, not a log.
+// After the first phase the engine performs no steady-state allocation.
 //
 // Events: handle() and the begin_* operations append what they complete to a
 // caller-owned WalkEvents buffer, in FIFO order — plain events plus one word
@@ -374,10 +378,15 @@ class WalkEngine {
   void grow_index(OriginState& os);
 
   /// Walk-stage helper: disposes `count` units at (node, origin, r), whose
-  /// row is `row` | kNil.
+  /// row is `row` | kNil, queueing its self-step on next_steps_.
   void dispose_units(OriginState& os, NodeId node, std::uint32_t r,
-                     std::uint32_t row, std::uint32_t count,
-                     std::vector<Pending>& next);
+                     std::uint32_t row, std::uint32_t count);
+
+  /// next_binomial's constants for p = 1/k, k >= 1 ports left to split
+  /// over; split_p(2) is also the lazy stay's p = 1/2.
+  const BinomialConstants& split_p(std::uint32_t k) const noexcept {
+    return split_[k - 1];
+  }
 
   /// Records `count` units arriving at level row `lv` over `port` from the
   /// sender's row `peer`.
@@ -417,6 +426,15 @@ class WalkEngine {
   WalkConfig config_;
   std::uint32_t id_bits_;
   std::uint32_t base_bits_;
+
+  /// split_p(k) for k = 1..max(2, max degree), built once: 40 B per port
+  /// of the highest-degree node.
+  std::vector<BinomialConstants> split_;
+
+  /// run_walk_stage's buckets, kept warm across stages: the round's
+  /// self-steps in disposal order, the next round's, and the round's
+  /// deliveries.
+  std::vector<Pending> steps_, next_steps_, arrivals_;
 
   std::vector<std::uint32_t> origin_index_;  ///< node -> interned index
   std::vector<OriginState> origins_;

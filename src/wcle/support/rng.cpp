@@ -58,39 +58,60 @@ bool Rng::next_bool(double p) noexcept {
   return next_double() < p;
 }
 
-std::uint64_t Rng::next_binomial(std::uint64_t n, double p) noexcept {
-  if (n == 0 || p <= 0.0) return 0;
-  if (p >= 1.0) return n;
-  if (p > 0.5) return n - next_binomial(n, 1.0 - p);
+BinomialConstants::BinomialConstants(double p) noexcept
+    : p_(p), s_(p > 0.5 ? 1.0 - p : p) {
+  log_q_ = std::log1p(-s_);
+  const double q = 1.0 - s_;
+  lo_ = q * (1.0 - 0x1.0p-40);
+  hi_ = q * (1.0 + 0x1.0p-40);
+}
 
+bool BinomialConstants::unit_hit(double u) const noexcept {
+  if (u < lo_) return false;
+  if (u > hi_) return true;
+  return std::floor(std::log(u) / log_q_) + 1.0 <= 1.0;
+}
+
+std::uint64_t Rng::next_binomial(std::uint64_t n, double p) noexcept {
+  return next_binomial(n, BinomialConstants(p));
+}
+
+std::uint64_t Rng::next_binomial(std::uint64_t n,
+                                 const BinomialConstants& c) noexcept {
+  if (n == 0 || c.p_ <= 0.0) return 0;
+  if (c.p_ >= 1.0) return n;
+  const double p = c.s_;
+  std::uint64_t hits = 0;
   const double np = static_cast<double>(n) * p;
-  if (np < 32.0) {
+  if (n == 1) {
+    hits = c.unit_hit(1.0 - next_double()) ? 1 : 0;
+  } else if (np < 32.0) {
     // Geometric skipping (BG algorithm): expected O(np) iterations. Each
     // geometric gap counts the trials up to and including the next success.
-    const double log_q = std::log1p(-p);
-    std::uint64_t hits = 0;
     double sum = 0.0;
     for (;;) {
       const double gap =
-          std::floor(std::log(1.0 - next_double()) / log_q) + 1.0;
+          std::floor(std::log(1.0 - next_double()) / c.log_q_) + 1.0;
       sum += gap;
-      if (sum > static_cast<double>(n)) return hits;
-      ++hits;
-      if (hits == n) return n;
+      if (sum > static_cast<double>(n)) break;
+      if (++hits == n) break;
     }
+  } else {
+    // Normal approximation with clamping; adequate for walk-splitting at
+    // large counts where relative error of O(1/sqrt(np)) is far below
+    // sampling noise.
+    const double sigma = std::sqrt(np * (1.0 - p));
+    // Box-Muller.
+    const double u1 = 1.0 - next_double();
+    const double u2 = next_double();
+    const double z =
+        std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
+    double value = np + sigma * z + 0.5;
+    if (value < 0.0) value = 0.0;
+    if (value > static_cast<double>(n)) value = static_cast<double>(n);
+    hits = static_cast<std::uint64_t>(value);
   }
-  // Normal approximation with clamping; adequate for walk-splitting at large
-  // counts where relative error of O(1/sqrt(np)) is far below sampling noise.
-  const double sigma = std::sqrt(np * (1.0 - p));
-  // Box-Muller.
-  const double u1 = 1.0 - next_double();
-  const double u2 = next_double();
-  const double z =
-      std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-  double value = np + sigma * z + 0.5;
-  if (value < 0.0) value = 0.0;
-  if (value > static_cast<double>(n)) value = static_cast<double>(n);
-  return static_cast<std::uint64_t>(value);
+  return c.p_ > 0.5 ? n - hits : hits;
 }
 
 Rng Rng::fork(std::uint64_t key) noexcept {

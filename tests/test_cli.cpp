@@ -271,6 +271,14 @@ TEST(CliBinary, SweepTraceFlagsOfZeroFailWithTheGrammarsError) {
   }
 }
 
+TEST(CliBinary, RunRejectsASpaceBeforeANegativeSeed) {
+  // std::stoull skips the space and wraps "-1" to 2^64 - 1.
+  if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
+  const CliRun r = run_cli("run --n=16 '--seed= -1'");
+  EXPECT_NE(r.status, 0) << r.out;
+  EXPECT_NE(r.err.find("seed"), std::string::npos) << r.err;
+}
+
 TEST(CliBinary, HelpPrintsUsageAndRunsNothing) {
   if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
   const std::string trace = testing::TempDir() + "wcle_cli_help.jsonl";

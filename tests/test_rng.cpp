@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -119,6 +120,99 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::uint64_t, double>{1000, 0.5},
                       std::pair<std::uint64_t, double>{100000, 0.125},
                       std::pair<std::uint64_t, double>{1000000, 0.01}));
+
+// next_binomial's log-form loop as it stood before BinomialConstants,
+// verbatim but for drawing from `rng`: the reference the precomputed
+// constants and the single-unit threshold must reproduce bit for bit.
+std::uint64_t reference_binomial(Rng& rng, std::uint64_t n, double p) {
+  if (n == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return n;
+  if (p > 0.5) return n - reference_binomial(rng, n, 1.0 - p);
+
+  const double np = static_cast<double>(n) * p;
+  if (np < 32.0) {
+    const double log_q = std::log1p(-p);
+    std::uint64_t hits = 0;
+    double sum = 0.0;
+    for (;;) {
+      const double gap =
+          std::floor(std::log(1.0 - rng.next_double()) / log_q) + 1.0;
+      sum += gap;
+      if (sum > static_cast<double>(n)) return hits;
+      ++hits;
+      if (hits == n) return n;
+    }
+  }
+  const double sigma = std::sqrt(np * (1.0 - p));
+  const double u1 = 1.0 - rng.next_double();
+  const double u2 = rng.next_double();
+  const double z =
+      std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
+  double value = np + sigma * z + 0.5;
+  if (value < 0.0) value = 0.0;
+  if (value > static_cast<double>(n)) value = static_cast<double>(n);
+  return static_cast<std::uint64_t>(value);
+}
+
+/// The walk engine's probabilities (1/2, 1/k per port count) and a few
+/// others: generic, tiny, just below 1/2, and above 1/2 (drawn flipped).
+std::vector<double> equivalence_probabilities() {
+  std::vector<double> ps = {0.5, 0.3, 1e-9, 0.5 - 0x1.0p-30, 0.7};
+  for (int k = 2; k <= 64; ++k) ps.push_back(1.0 / k);
+  return ps;
+}
+
+TEST(Rng, BinomialMatchesTheLogFormReferenceInLockstep) {
+  std::vector<std::uint64_t> ns;
+  for (std::uint64_t n = 1; n <= 40; ++n) ns.push_back(n);
+  for (const std::uint64_t n : {64ull, 1000ull, 100000ull}) ns.push_back(n);
+  std::uint64_t seed = 1;
+  for (const double p : equivalence_probabilities()) {
+    const BinomialConstants c(p);
+    for (const std::uint64_t n : ns) {
+      Rng ref(seed), by_p(seed), by_constants(seed);
+      ++seed;
+      for (int draw = 0; draw < 64; ++draw) {
+        const std::uint64_t want = reference_binomial(ref, n, p);
+        ASSERT_EQ(by_p.next_binomial(n, p), want)
+            << "p=" << p << " n=" << n << " draw " << draw;
+        ASSERT_EQ(by_constants.next_binomial(n, c), want)
+            << "p=" << p << " n=" << n << " draw " << draw;
+      }
+      // Same values and the same number of words drawn.
+      const std::uint64_t next = ref.next();
+      ASSERT_EQ(by_p.next(), next) << "p=" << p << " n=" << n;
+      ASSERT_EQ(by_constants.next(), next) << "p=" << p << " n=" << n;
+    }
+  }
+}
+
+TEST(Rng, UnitThresholdMatchesTheLogFormAroundItsWindow) {
+  // Every u = 1 - next_double() is a multiple of 2^-53 in (0, 1]. Check the
+  // single-unit decision on every such u from 4096 steps below the window
+  // q·(1 ± 2^-40) around q = 1 - p to 4096 steps above it.
+  constexpr double kStep = 0x1.0p-53;
+  constexpr std::int64_t kTop = std::int64_t{1} << 53;  // u = 1
+  for (const double p : equivalence_probabilities()) {
+    if (p > 0.5) continue;  // drawn as 1 - p, covered by 0.3
+    const BinomialConstants c(p);
+    const double log_q = std::log1p(-p);
+    const double q = 1.0 - p;
+    const auto reach = static_cast<std::int64_t>(q * 0x1.0p-40 / kStep) + 4096;
+    const auto mid = static_cast<std::int64_t>(q / kStep);
+    std::int64_t hits = 0, checked = 0;
+    for (std::int64_t m = mid - reach; m <= std::min(mid + reach, kTop); ++m) {
+      const double u = static_cast<double>(m) * kStep;
+      const bool want = std::floor(std::log(u) / log_q) + 1.0 <= 1.0;
+      ASSERT_EQ(c.unit_hit(u), want) << "p=" << p << " u=" << u;
+      hits += want;
+      ++checked;
+    }
+    // The scan straddles the threshold: both outcomes occur.
+    EXPECT_GT(hits, 0) << "p=" << p;
+    EXPECT_LT(hits, checked) << "p=" << p;
+  }
+}
 
 TEST(Rng, ForkProducesIndependentStreams) {
   Rng parent(101);

@@ -69,6 +69,15 @@ TEST(SpecGrammar, Rejections) {
   EXPECT_THROW(parse_spec("algo=election n=8 shards=4"),
                std::invalid_argument);
   EXPECT_THROW(parse_spec("n=4294967360"), std::invalid_argument);
+  // std::stoull and std::stod skip leading whitespace and then take a sign
+  // (" -1" would wrap to 2^64 - 1). One argv token can carry a space, so
+  // these go in as single tokens.
+  for (const std::string token :
+       {"base-seed= -1", "n= 64", "n=+64", "n=64 ", "n=\t64", "drop= 0.1",
+        "drop=+0.1", "drop=0.1\n", "c1=-2", "c1= 2"})
+    EXPECT_THROW(parse_spec(std::vector<std::string>{token}),
+                 std::invalid_argument)
+        << token;
   // Parses, but a churn fraction without its window is no fault plan.
   EXPECT_THROW(expand_cells(parse_spec("churn=0.1")), std::invalid_argument);
 }
@@ -209,7 +218,8 @@ TEST(Builtins, BenchScaleEnvironmentIsParsedStrictly) {
   }
   // atoi used to read "3" as 1 and "x" as 0.
   for (const char* bad :
-       {"3", "x", "", "1x", "-1", "+1", "18446744073709551616"}) {
+       {"3", "x", "", "1x", "-1", "+1", "18446744073709551616", " 1",
+        "\t2", "1 "}) {
     setenv("WCLE_BENCH_SCALE", bad, 1);
     try {
       default_bench_scale();

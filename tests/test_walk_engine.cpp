@@ -423,6 +423,26 @@ TEST(WalkEngineAlloc, SteadyDeliveryCycleMakesNoAllocations) {
   EXPECT_EQ(steady.allocs, 0u);
 }
 
+TEST(WalkEngineAlloc, RepeatedWalkStageMakesNoAllocations) {
+  // A walk stage keeps its round buckets in engine-owned scratch and draws
+  // with binomial constants built at construction. Re-run from the same
+  // stream position, the same stage retraces the same walks over warm
+  // trails, buckets and transport, and must not allocate.
+  Rng graph_rng(7);
+  Harness h(make_random_regular(256, 6, graph_rng));
+  std::vector<WalkOrder> orders;
+  for (const NodeId o : {0u, 37u, 101u, 200u}) orders.push_back({o, 512, 12});
+  h.rng = Rng(11);
+  const std::uint64_t cold = allocations();
+  const std::uint64_t rounds = h.engine.run_walk_stage(orders);
+  ASSERT_GT(allocations(), cold)
+      << "the counting operator new is not linked in";
+  h.rng = Rng(11);
+  const std::uint64_t warm = allocations();
+  EXPECT_EQ(h.engine.run_walk_stage(orders), rounds);
+  EXPECT_EQ(allocations() - warm, 0u);
+}
+
 TEST(WalkEngineAlloc, ElectionAllocationsStayBounded) {
   // Whole-election guard: the fresh Network and WalkEngine pools warm up
   // once (about 4-5K allocations at n=256), but no per-delivery work
