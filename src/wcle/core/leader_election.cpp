@@ -36,13 +36,13 @@ enum class Stage { kRound1, kRound2, kRound3, kWinner };
 // The reactor's helpers run once per delivered event. Every output vector is
 // warm scratch or per-contender / per-proxy state that is cleared, not freed,
 // so once the first phase has sized them they no longer allocate.
-// wcle-lint: begin-no-alloc
+// WalkEngineAlloc.ElectionAllocationsStayBounded holds this: one allocation
+// per reactor event breaks its bound.
 void split_marks(IdSpan ids, std::vector<std::uint64_t>& plain,
                  std::vector<std::uint64_t>& marks) {
   plain.clear();
   marks.clear();
   for (const std::uint64_t id : ids)
-    // wcle-lint: no-alloc-ok(reactor scratch; capacity kept across events)
     (id & kWinnerBit ? marks : plain).push_back(id);
 }
 
@@ -51,15 +51,12 @@ void split_marks(IdSpan ids, std::vector<std::uint64_t>& plain,
 void sorted_union_into(std::vector<std::uint64_t>& dst,
                        const std::vector<std::uint64_t>& src,
                        std::vector<std::uint64_t>& scratch) {
-  // wcle-lint: no-alloc-ok(warm scratch; grows only to the largest I3 set)
   scratch.resize(dst.size() + src.size());
   auto last = std::set_union(dst.begin(), dst.end(), src.begin(), src.end(),
                              scratch.begin());
   last = std::unique(scratch.begin(), last);
-  // wcle-lint: no-alloc-ok(a proxy's I3 set; cleared, not freed, per phase)
   dst.assign(scratch.begin(), last);
 }
-// wcle-lint: end-no-alloc
 
 }  // namespace
 
@@ -136,7 +133,6 @@ ElectionResult run_leader_election(const Graph& g,
   // append their events to the tail, which the same drain reaches in order.
   WalkEvents events;
   std::vector<std::uint64_t> plain, marks;
-  // wcle-lint: begin-no-alloc
   // Step 6: the first time any node learns of a winner it notifies every
   // contender it is a proxy for (unicast up their trails, in origin order).
   const auto node_learns_winner = [&](NodeId node,
@@ -197,14 +193,12 @@ ElectionResult run_leader_election(const Graph& g,
   };
 
   const auto pump_network = [&]() {
-    // wcle-lint: no-alloc-transitive-ok(reaches only fault-event scratch)
     net.run_until_idle([&](const Delivery& d) {
       assert(WalkEngine::owns_tag(d.msg.tag));
       engine.handle(d, events);
       drain();
     });
   };
-  // wcle-lint: end-no-alloc
 
   // Paper-schedule mode: idle-step the network to the sub-phase boundary
   // (messages are unaffected; only the clock advances, exactly as nodes

@@ -1,7 +1,8 @@
 // wcle::obs statistics registry: named counters, high-water gauges, and
 // power-of-two histograms with a register-then-update discipline. All storage
 // is sized at registration time, so the update path (add / set_max / observe)
-// never allocates and is safe to call from inside a begin-no-alloc region.
+// never allocates and is safe to call on the zero-allocation hot paths that
+// the operator new counters in test_network and test_walk_engine hold.
 // There are no wall clocks anywhere in obs: every statistic counts messages
 // or transport rounds, which keeps it a deterministic function of the run.
 #pragma once
@@ -34,7 +35,7 @@ struct ScalarSnapshot {
 class StatRegistry {
  public:
   /// Registers a monotone counter; returns its handle. Registration may
-  /// allocate — do it before entering any allocation-free region.
+  /// allocate — do it before the hot path runs.
   std::size_t counter(std::string name);
   /// Registers a high-water gauge (set_max keeps the running maximum).
   std::size_t gauge(std::string name);

@@ -110,11 +110,9 @@ WalkEngine::OriginState& WalkEngine::intern(NodeId origin) {
   if (idx == kNoOrigin) {
     idx = static_cast<std::uint32_t>(origins_.size());
     origin_index_[origin] = idx;
-    // wcle-lint: no-alloc-ok(first-seen origin only; steady rounds reuse it)
     origins_.emplace_back();
     OriginState& os = origins_.back();
     os.node = origin;
-    // wcle-lint: no-alloc-ok(first-seen origin only; the index stays warm)
     os.index.assign(16, kNil);
   }
   return origins_[idx];
@@ -134,10 +132,11 @@ const WalkEngine::OriginState* WalkEngine::find_origin(
 // The walk stage is the inner loop of every election phase: token disposal,
 // trail-index lookups, and the per-round pending queues all recycle warm
 // storage (level rows, trail indexes, port arenas), so the steady state
-// allocates nothing. Every suppression inside this region is a warm-up-only
-// growth point; rows, index buckets and arena entries are cleared with their
-// capacities intact when an origin walks again (see clear_origin).
-// wcle-lint: begin-no-alloc
+// allocates nothing. Its growth points are warm-up only; rows, index buckets
+// and arena entries are cleared with their capacities intact when an origin
+// walks again (see clear_origin). The WalkEngineAlloc tests count operator
+// new calls over a steady delivery cycle, a repeated walk stage and whole
+// elections to hold this.
 std::uint32_t WalkEngine::level_at(OriginState& os, NodeId node,
                                    std::uint32_t r) {
   const std::size_t mask = os.index.size() - 1;
@@ -152,7 +151,6 @@ std::uint32_t WalkEngine::level_at(OriginState& os, NodeId node,
   Level fresh;
   fresh.node = node;
   fresh.r = r;
-  // wcle-lint: no-alloc-ok(row capacity retained across phases)
   os.levels.push_back(fresh);
   if (2 * os.levels.size() > os.index.size())
     grow_index(os);  // reinserts every row, this one included
@@ -174,7 +172,6 @@ std::uint32_t WalkEngine::find_level(const OriginState& os, NodeId node,
 }
 
 void WalkEngine::grow_index(OriginState& os) {
-  // wcle-lint: no-alloc-ok(cold growth: an origin's largest walk so far)
   os.index.assign(2 * os.index.size(), kNil);
   const std::size_t mask = os.index.size() - 1;
   for (std::uint32_t row = 0; row < os.levels.size(); ++row) {
@@ -216,7 +213,6 @@ void WalkEngine::note_arrival(OriginState& os, std::uint32_t lv, Port port,
     tail = e;
   }
   const std::uint32_t e = static_cast<std::uint32_t>(os.in_arena.size());
-  // wcle-lint: no-alloc-ok(arena entry, bounded by degree; stays warm)
   os.in_arena.push_back({count, port, kNil, peer});
   if (tail == kNil)
     os.levels[lv].in_head = e;
@@ -242,11 +238,8 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
     auto& regs = registrations_[node];
     const auto it = reg_position(regs, os.node);
     if (it == regs.end() || it->first != os.node) {
-      // wcle-lint: no-alloc-ok(one entry per proxy-origin pair; stays warm)
       regs.insert(it, {os.node, count});
-      // wcle-lint: no-alloc-ok(bounded by proxies per origin; stays warm)
       os.proxies.push_back(node);
-      // wcle-lint: no-alloc-ok(bounded by proxies per origin; stays warm)
       os.proxy_rows.push_back(li);
     } else {
       it->second += count;
@@ -263,7 +256,6 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
     os.levels[below].stay_in += stays;
     os.levels[below].up = li;
     os.levels[li].down = below;
-    // wcle-lint: no-alloc-ok(engine-owned queue; warm after one stage)
     next_steps_.push_back({node, os.node, r - 1, stays, below});
   }
   if (movers == 0) return;
@@ -283,7 +275,6 @@ void WalkEngine::dispose_units(OriginState& os, NodeId node, std::uint32_t r,
     }
     if (e == kNil) {  // port not yet on the departure list: append at tail
       e = static_cast<std::uint32_t>(os.out_arena.size());
-      // wcle-lint: no-alloc-ok(arena entry, bounded by degree; stays warm)
       os.out_arena.push_back({p, kNil, kNil});
       if (tail == kNil)
         os.levels[li].out_head = e;
@@ -335,7 +326,6 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
     if (o.count > 0xffffffffull)
       throw std::invalid_argument(
           "run_walk_stage: count must fit 32 bits (level counters are 32-bit)");
-    // wcle-lint: no-alloc-ok(engine-owned queue; warm after one stage)
     steps_.push_back({o.origin, o.origin, o.length,
                       static_cast<std::uint32_t>(o.count)});
   }
@@ -387,7 +377,6 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
     next_steps_.clear();
     arrivals_.clear();
 
-    // wcle-lint: no-alloc-transitive-ok(reaches only fault-event scratch)
     const std::vector<Delivery>& delivered = net_->step();
     for (const Delivery& d : delivered) {
       assert(d.msg.tag == kTagWalkToken);
@@ -408,7 +397,6 @@ std::uint64_t WalkEngine::run_walk_stage(const std::vector<WalkOrder>& orders) {
       note_arrival(*os, row, d.port, count,
                    static_cast<std::uint32_t>(d.msg.d >> 32));
       os->out_arena[static_cast<std::uint32_t>(d.msg.d)].peer = row;
-      // wcle-lint: no-alloc-ok(engine-owned queue; warm after one stage)
       arrivals_.push_back({d.dst, origin, r, count, row});
     }
   }
@@ -435,9 +423,7 @@ void WalkEvents::push(WalkEvent::Kind kind, NodeId node, NodeId origin,
   ev.ids_len = ids.size();
   ev.distinct_proxies = distinct_proxies;
   ev.proxy_nodes = proxy_nodes;
-  // wcle-lint: no-alloc-ok(caller-owned buffer; clear() keeps its capacity)
   events_.push_back(ev);
-  // wcle-lint: no-alloc-ok(caller-owned buffer; clear() keeps its capacity)
   words_.insert(words_.end(), ids.begin(), ids.end());
 }
 
@@ -544,7 +530,6 @@ void WalkEngine::credit(OriginState& os, std::uint32_t row,
       lv.cc = PooledReply{};
     }
   }
-  // wcle-lint: no-alloc-ok(engine-owned work stack; warm after one cascade)
   cc_stack_.push_back({row, units, payload});
 
   while (!cc_stack_.empty()) {
@@ -569,7 +554,6 @@ void WalkEngine::credit(OriginState& os, std::uint32_t row,
     // travels with the first parent, the rest carry unit counts only.
     bool first = true;
     if (lv.stay_in > 0) {
-      // wcle-lint: no-alloc-ok(engine-owned work stack; warm after one cascade)
       cc_stack_.push_back({lv.up, lv.stay_in, agg});
       agg = PooledReply{};  // ownership moved to the stack entry
       first = false;
@@ -721,7 +705,6 @@ void WalkEngine::handle(const Delivery& d, WalkEvents& out) {
       assert(false && "WalkEngine::handle: unexpected tag");
   }
 }
-// wcle-lint: end-no-alloc
 
 WalkEngine::MemoryBytes WalkEngine::memory_bytes() const noexcept {
   MemoryBytes m;

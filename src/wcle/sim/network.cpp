@@ -72,10 +72,9 @@ void Network::note_phase(const char* label, std::uint64_t value) {
 // send()/step() are the zero-allocation data plane: in steady state a
 // queued message reuses a pooled slot, its payload reuses id-pool space, and a
 // delivery is a view — no heap traffic per message or per delivery. The
-// region makes that property checkable at the source level; every
-// suppressed line below is a warm-up-only growth point whose flatness
-// pool_stats() proves dynamically.
-// wcle-lint: begin-no-alloc
+// growth points below are warm-up only: pool_stats() shows them flat, and
+// Network.NoAllocationPerDeliverySteadyState counts operator new calls over
+// steady batches to hold the property.
 std::uint32_t Network::alloc_msg() {
   if (!free_msgs_.empty()) {
     const std::uint32_t slot = free_msgs_.back();
@@ -87,7 +86,6 @@ std::uint32_t Network::alloc_msg() {
 }
 
 void Network::free_msg(std::uint32_t slot) {
-  // wcle-lint: no-alloc-ok(free-list bounded by pool size)
   free_msgs_.push_back(slot);
 }
 
@@ -129,7 +127,6 @@ void Network::send(NodeId from, Port port, const Message& msg) {
   Lane& l = lanes_[lane];
   if (l.tail == kNil) {
     l.head = slot;
-    // wcle-lint: no-alloc-ok(bounded by directed edges; warms once)
     active_.push_back({static_cast<std::uint32_t>(lane),
                        quanta_of(msg.bits, cfg_.bandwidth_bits), msg.tag});
   } else {
@@ -166,7 +163,6 @@ const std::vector<Delivery>& Network::step() {
   metrics_.rounds += 1;
   // Fault events fire at the start of their round, before any service:
   // crash_round = 1 means the victims never deliver a single message.
-  // wcle-lint: no-alloc-transitive-ok(fault rounds sit outside the contract)
   if (faults_) faults_->advance(metrics_.rounds);
   // Tracing snapshots the counters it attributes per-round so the service
   // loop below stays hook-free: the row is the delta across this step.
@@ -228,11 +224,9 @@ const std::vector<Delivery>& Network::step() {
       d.msg.bits = head.bits;
       if (head.ids_len > 0)
         d.msg.ids = IdSpan(ids_.data(head.ids), head.ids_len);
-      // wcle-lint: no-alloc-ok(capacity pinned flat by the pool_stats test)
       delivered_.push_back(d);
       // The view must outlive this step; release the payload next step.
       if (head.ids_len > 0)
-        // wcle-lint: no-alloc-ok(bounded by deliveries per round; warms once)
         retired_ids_.push_back({head.ids, head.ids_len});
     }
     if (eaten && head.ids_len > 0) {
@@ -252,7 +246,6 @@ const std::vector<Delivery>& Network::step() {
     a.tag = next.tag;
     active_[write++] = a;
   }
-  // wcle-lint: no-alloc-ok(shrinks to compacted prefix; never grows)
   active_.resize(write);
   if (cfg_.trace)
     cfg_.trace->on_round(
@@ -267,6 +260,5 @@ const std::vector<Delivery>& Network::step() {
         static_cast<std::uint32_t>(active_.size()));
   return delivered_;
 }
-// wcle-lint: end-no-alloc
 
 }  // namespace wcle

@@ -141,8 +141,9 @@ class Network {
 
   /// Allocation instrumentation of the data-plane pools. Once a workload's
   /// footprint is warmed up, heap_blocks / msg_slots / delivery_capacity stay
-  /// flat while deliveries keep flowing — the no-allocation-per-delivery
-  /// property the tests pin down.
+  /// flat while deliveries keep flowing — the zero-allocation-per-delivery
+  /// property Network.NoAllocationPerDeliverySteadyState pins down, next to
+  /// its operator new count.
   struct PoolStats {
     std::uint64_t id_heap_blocks = 0;    ///< heap blocks the id pool holds
     std::uint64_t id_alloc_calls = 0;    ///< payload slots handed out

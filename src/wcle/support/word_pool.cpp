@@ -26,8 +26,8 @@ std::uint32_t WordPool::size_class(std::uint32_t n) noexcept {
 // The pool is the id-set store of the steady-state transport and walk
 // engine: once a workload's footprint is warm, every alloc() is served from a
 // free list or bump space and the heap is never touched (Network::pool_stats
-// pins this in test_dataplane). The growth points below are cold-start only.
-// wcle-lint: begin-no-alloc
+// pins this in test_dataplane; Network.NoAllocationPerDeliverySteadyState
+// counts operator new calls). The growth points below are cold-start only.
 std::uint32_t WordPool::alloc(std::uint32_t n) {
   const std::uint32_t cls = size_class(n);
   const std::uint32_t cap = 1u << cls;
@@ -43,7 +43,6 @@ std::uint32_t WordPool::alloc(std::uint32_t n) {
     // its free list until rewind() returns it to the heap.
     const std::uint32_t h =
         kDedicated | static_cast<std::uint32_t>(dedicated_.size());
-    // wcle-lint: no-alloc-ok(oversized id set; released on the drain rewind)
     dedicated_.push_back({std::make_unique<std::uint64_t[]>(cap), cap});
     return h;
   }
@@ -72,7 +71,6 @@ void WordPool::free(std::uint32_t h, std::uint32_t n) {
   free_head_[cls] = h;
   WCLE_POISON_WORDS(slot, 1u << cls);
 }
-// wcle-lint: end-no-alloc
 
 void WordPool::rewind() {
   for (std::uint32_t& head : free_head_) head = kNull;

@@ -34,8 +34,8 @@ void TraceRecorder::on_walk_hop(std::uint64_t round, std::uint32_t origin,
   if (walks_every_ > 1 && origin % walks_every_ != 0) return;
   const TraceWalkHop hop{offset_ + round, origin, src, dst, count, tag};
   // Capacity-guarded cold growth: the buffer is pre-sized by
-  // set_trace_walks, so the steady state of the walk-stage no-alloc region
-  // never reaches the allocator; doubling happens O(log hops) times.
+  // set_trace_walks, so a traced walk stage's steady state never reaches
+  // the allocator; doubling happens O(log hops) times.
   if (hops_.size() == hops_.capacity()) {
     hops_.reserve(hops_.capacity() == 0 ? kWalkHopReserve
                                         : hops_.capacity() * 2);
@@ -75,7 +75,6 @@ TraceRound& TraceRecorder::row(std::uint64_t local_round) {
     }
     TraceRound r;
     r.round = last_round_ == 0 ? absolute : last_round_ + 1;
-    // wcle-lint: no-alloc-ok(rows grow only under a runtime-wired recorder)
     rounds_.push_back(r);
     open_ = true;
   }

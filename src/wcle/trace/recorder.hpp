@@ -120,8 +120,9 @@ class TraceRecorder {
 
   /// Records one walk-token delivery at network-local `round` (the walk
   /// engine's hook; a no-op unless set_trace_walks enabled the stream and
-  /// `origin` is on the sampling grid). Called from inside the walk-stage
-  /// no-alloc region: growth is capacity-guarded cold-path only.
+  /// `origin` is on the sampling grid). Called on the walk engine's delivery
+  /// path, whose zero-allocation contract the WalkEngineAlloc tests hold
+  /// with tracing off: growth here is capacity-guarded cold-path only.
   void on_walk_hop(std::uint64_t round, std::uint32_t origin,
                    std::uint32_t src, std::uint32_t dst, std::uint32_t count,
                    std::uint8_t tag);

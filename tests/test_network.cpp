@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.hpp"
 #include "wcle/core/leader_election.hpp"
 #include "wcle/graph/generators.hpp"
 
@@ -225,8 +226,9 @@ TEST(Network, PayloadIdsRoundTripThroughTheArena) {
 TEST(Network, NoAllocationPerDeliverySteadyState) {
   // The data-plane invariant: once a workload's footprint is warm, the
   // message pool, the id pool, and the delivery buffer stop growing — every
-  // further delivery is served from recycled slots. The instrumented pool
-  // counters make the property checkable instead of anecdotal.
+  // further delivery is served from recycled slots. The pool counters say
+  // which store would have grown; the operator new count covers send(),
+  // step() and WordPool::alloc whatever they would allocate.
   const Graph g = make_clique(6);
   Network net(g, {16});
   std::vector<std::uint64_t> payload{1, 2, 3, 4};
@@ -240,11 +242,15 @@ TEST(Network, NoAllocationPerDeliverySteadyState) {
       }
     net.run_until_idle([](const Delivery&) {});
   };
+  const std::uint64_t cold = wcle_test::allocations();
   burst();  // warmup: pools grow to the workload footprint
+  ASSERT_GT(wcle_test::allocations(), cold)
+      << "the counting operator new is not linked in";
   const Network::PoolStats warm = net.pool_stats();
   EXPECT_GT(warm.id_alloc_calls, 0u);
   EXPECT_GT(warm.msg_slots, 0u);
   std::uint64_t deliveries = 0;
+  const std::uint64_t heap_before = wcle_test::allocations();
   for (int round_batch = 0; round_batch < 10; ++round_batch) {
     for (NodeId u = 0; u < g.node_count(); ++u)
       for (Port p = 0; p < g.degree(u); ++p) {
@@ -254,6 +260,7 @@ TEST(Network, NoAllocationPerDeliverySteadyState) {
       }
     while (!net.idle()) deliveries += net.step().size();
   }
+  const std::uint64_t heap_calls = wcle_test::allocations() - heap_before;
   const Network::PoolStats after = net.pool_stats();
   EXPECT_EQ(deliveries, 10u * 2u * g.edge_count());
   // Payload slots were handed out for every send...
@@ -262,6 +269,7 @@ TEST(Network, NoAllocationPerDeliverySteadyState) {
   EXPECT_EQ(after.id_heap_blocks, warm.id_heap_blocks);
   EXPECT_EQ(after.msg_slots, warm.msg_slots);
   EXPECT_EQ(after.delivery_capacity, warm.delivery_capacity);
+  EXPECT_EQ(heap_calls, 0u);
 }
 
 TEST(Network, OversizedPayloadsDontCollideWithBumpAllocations) {

@@ -18,16 +18,4 @@ void empty_reason() {}
 // wcle-lint: no-such-rule-ok(reasonable)
 void unknown_rule() {}
 
-// SEED: directive
-// wcle-lint: end-no-alloc
-void unbalanced_end() {}
-
-// SEED: directive
-// wcle-lint: begin-no-alloc
-void region_opened_but_never_closed() {}
-
-// SEED: directive
-// wcle-lint: begin-no-alloc
-void nested_begin() {}
-
 }  // namespace fixture

@@ -1,7 +1,7 @@
 // wcle_lint fixture: suppression syntax round-trip.
 //
 // Every violation in this file is suppressed with a justification, so the
-// linter must report zero diagnostics and exactly six suppressed entries
+// linter must report zero diagnostics and exactly four suppressed entries
 // whose reasons survive into the JSON report verbatim. Lint input only.
 #include <random>
 #include <unordered_map>
@@ -24,14 +24,6 @@ void one_reason_per_rule() {
   // wcle-lint: unordered-iter-ok(order folded through a commutative sum)
   for (const auto& [k, v] : table) total += v;
 }
-
-// wcle-lint: begin-no-alloc
-void suppressed_region(std::vector<int>& out) {
-  // wcle-lint: no-alloc-ok(grows once at start-up, capacity is never released)
-  out.push_back(1);
-  out.push_back(2);  // wcle-lint: no-alloc-ok(second growth point, trailing form)
-}
-// wcle-lint: end-no-alloc
 
 void engine_with_reason() {
   // A suppression comment may be preceded by ordinary prose comments; only

@@ -2,11 +2,11 @@
 //
 // This is deliberately not a C++ parser: the lint rules (see rules.hpp) are
 // lexical patterns over a token stream, which is enough to recognize banned
-// identifiers, template-argument shapes, and annotated regions without a
-// libclang dependency. The lexer's job is to make that sound: nothing inside
-// a comment, string literal (including raw strings), or character literal
-// ever reaches the token stream, and every token knows its line/column and
-// whether it sits on a preprocessor line.
+// identifiers and template-argument shapes without a libclang dependency.
+// The lexer's job is to make that sound: nothing inside a comment, string
+// literal (including raw strings), or character literal ever reaches the
+// token stream, and every token knows its line/column and whether it sits
+// on a preprocessor line.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,7 @@ struct Token {
 };
 
 /// A comment, kept out of the token stream but preserved for directive
-/// parsing (suppressions and no-alloc region markers, see linter.hpp).
+/// (suppression) parsing, see linter.hpp.
 struct Comment {
   std::string text;        ///< body without the // or /* */ framing
   std::uint32_t line = 0;  ///< line the comment starts on

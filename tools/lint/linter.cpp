@@ -7,12 +7,9 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "lint/callgraph.hpp"
-#include "lint/index.hpp"
-
 namespace wcle_lint {
 
-const char kLintVersion[] = "2.0.0";
+const char kLintVersion[] = "3.0.0";
 
 namespace {
 
@@ -34,7 +31,6 @@ struct Suppression {
 
 struct Directives {
   std::vector<Suppression> suppressions;
-  std::vector<Region> regions;
   std::vector<Diagnostic> errors;  ///< rule "directive"
 };
 
@@ -50,7 +46,6 @@ std::string trim(const std::string& s) {
 Directives parse_directives(const std::string& path,
                             const std::vector<Comment>& comments) {
   Directives out;
-  std::uint32_t open_begin = 0;  // line of the currently open begin marker
 
   for (const Comment& c : comments) {
     if (c.block) continue;
@@ -58,30 +53,6 @@ Directives parse_directives(const std::string& path,
     if (pos == std::string::npos) continue;
     const std::string body =
         trim(c.text.substr(pos + std::string(kDirectivePrefix).size()));
-
-    if (body == "begin-no-alloc") {
-      if (open_begin != 0) {
-        out.errors.push_back({path, c.line, 1, "directive",
-                              "begin-no-alloc while the region opened on "
-                              "line " +
-                                  std::to_string(open_begin) +
-                                  " is still open (regions do not nest)"});
-      } else {
-        open_begin = c.line;
-      }
-      continue;
-    }
-    if (body == "end-no-alloc") {
-      if (open_begin == 0) {
-        out.errors.push_back({path, c.line, 1, "directive",
-                              "end-no-alloc without a matching "
-                              "begin-no-alloc"});
-      } else {
-        out.regions.push_back({open_begin, c.line});
-        open_begin = 0;
-      }
-      continue;
-    }
 
     // <rule>-ok(reason)
     const std::size_t ok = body.find("-ok(");
@@ -109,13 +80,8 @@ Directives parse_directives(const std::string& path,
     out.errors.push_back(
         {path, c.line, 1, "directive",
          "unrecognized wcle-lint directive '" + body +
-             "': expected begin-no-alloc, end-no-alloc, or <rule>-ok(reason)"});
+             "': expected <rule>-ok(reason)"});
   }
-
-  if (open_begin != 0)
-    out.errors.push_back({path, open_begin, 1, "directive",
-                          "begin-no-alloc region never closed (missing "
-                          "end-no-alloc before end of file)"});
   return out;
 }
 
@@ -125,35 +91,33 @@ bool rule_enabled(const LintOptions& options, const std::string& rule) {
          options.rules.end();
 }
 
-/// Everything the per-file pass produces. Cacheable: depends only on the
-/// file's content (every rule runs; the --rule filter applies at merge).
+/// Everything the per-file pass produces. Depends only on the file's
+/// content (every rule runs; the --rule filter applies at merge).
 struct FileAnalysis {
   std::string display;
   std::vector<Diagnostic> raw;  ///< lexical findings + directive errors
   std::vector<Suppression> sups;
-  std::vector<Region> regions;
-  FileIndex index;
+  std::vector<IncludeDirective> includes;
 };
 
 FileAnalysis analyze_source(const std::string& display,
                             const std::string& source) {
   FileAnalysis a;
   a.display = display;
-  const LexResult lx = lex(source);
+  LexResult lx = lex(source);
   Directives dirs = parse_directives(display, lx.comments);
   a.sups = std::move(dirs.suppressions);
-  a.regions = std::move(dirs.regions);
-  run_rules(display, lx, a.regions, a.raw);
+  run_rules(display, lx, a.raw);
   for (Diagnostic& d : dirs.errors) a.raw.push_back(std::move(d));
-  a.index = build_index(display, lx, a.regions);
+  a.includes = std::move(lx.includes);
   return a;
 }
 
 // ------------------------------------------------------------------ merge
 
-/// Combines per-file analyses into the final report: interprocedural rules,
-/// the capacity-guard exemption, rule filtering, suppression matching, and
-/// stale-suppression detection. Deterministic given the analysis order.
+/// Combines per-file analyses into the final report: the layering rule,
+/// rule filtering, suppression matching, and stale-suppression detection.
+/// Deterministic given the analysis order.
 void merge(std::vector<FileAnalysis>& analyses, const LintOptions& options,
            LintReport& report) {
   report.files_scanned += analyses.size();
@@ -161,15 +125,6 @@ void merge(std::vector<FileAnalysis>& analyses, const LintOptions& options,
   std::vector<std::vector<bool>> used(analyses.size());
   for (std::size_t i = 0; i < analyses.size(); ++i)
     used[i].assign(analyses[i].sups.size(), false);
-
-  // Guarded allocation positions, per file, before the indexes move out.
-  std::vector<std::vector<std::uint64_t>> guarded_pos(analyses.size());
-  for (std::size_t i = 0; i < analyses.size(); ++i)
-    for (const FunctionInfo& fn : analyses[i].index.functions)
-      for (const AllocSite& s : fn.alloc_sites)
-        if (s.guarded)
-          guarded_pos[i].push_back(
-              (static_cast<std::uint64_t>(s.line) << 32) | s.col);
 
   std::vector<Diagnostic> all;
 
@@ -185,45 +140,12 @@ void merge(std::vector<FileAnalysis>& analyses, const LintOptions& options,
       LayerConfig cfg = parse_layer_config(options.layers_file, buf.str());
       for (Diagnostic& d : cfg.errors) all.push_back(std::move(d));
       for (const FileAnalysis& a : analyses)
-        check_layering(a.display, a.index.includes, cfg, all);
+        check_layering(a.display, a.includes, cfg, all);
     }
   }
 
-  // Transitive no-alloc over the merged call graph. A hand-written
-  // `no-alloc-ok` covering an allocation site silences its summary evidence
-  // and counts as used — the audit note stands in for the analysis.
-  if (rule_enabled(options, "no-alloc-transitive")) {
-    std::vector<FileIndex> indexes;
-    indexes.reserve(analyses.size());
-    for (FileAnalysis& a : analyses) indexes.push_back(std::move(a.index));
-    CallGraph graph(indexes, [&](std::size_t f, const AllocSite& site) {
-      for (std::size_t j = 0; j < analyses[f].sups.size(); ++j) {
-        const Suppression& s = analyses[f].sups[j];
-        if ((s.rule == "no-alloc" || s.rule == "no-alloc-transitive") &&
-            s.covers(site.line)) {
-          used[f][j] = true;
-          return true;
-        }
-      }
-      return false;
-    });
-    graph.report_region_escapes(all);
-  }
-
-  // Lexical findings, minus no-alloc findings at capacity-guarded sites
-  // (those are machine-checked cold growth, not findings).
-  for (std::size_t i = 0; i < analyses.size(); ++i) {
-    for (Diagnostic& d : analyses[i].raw) {
-      if (d.rule == "no-alloc") {
-        const std::uint64_t pos =
-            (static_cast<std::uint64_t>(d.line) << 32) | d.col;
-        if (std::find(guarded_pos[i].begin(), guarded_pos[i].end(), pos) !=
-            guarded_pos[i].end())
-          continue;
-      }
-      all.push_back(d);
-    }
-  }
+  for (FileAnalysis& a : analyses)
+    for (Diagnostic& d : a.raw) all.push_back(std::move(d));
 
   // Rule filter + suppression matching.
   std::unordered_map<std::string, std::size_t> file_of;
@@ -290,21 +212,12 @@ bool lintable_extension(const std::filesystem::path& p) {
 
 }  // namespace
 
-LintReport lint_sources(
-    const std::vector<std::pair<std::string, std::string>>& sources,
-    const LintOptions& options) {
-  LintReport report;
-  std::vector<FileAnalysis> analyses;
-  analyses.reserve(sources.size());
-  for (const auto& s : sources)
-    analyses.push_back(analyze_source(s.first, s.second));
-  merge(analyses, options, report);
-  return report;
-}
-
 LintReport lint_source(const std::string& display_path,
                        const std::string& source, const LintOptions& options) {
-  return lint_sources({{display_path, source}}, options);
+  LintReport report;
+  std::vector<FileAnalysis> analyses{analyze_source(display_path, source)};
+  merge(analyses, options, report);
+  return report;
 }
 
 LintReport lint_paths(const std::vector<std::string>& paths,

@@ -1,6 +1,6 @@
 // wcle_lint driver: directive parsing, the per-file lexical pass, the
-// whole-tree interprocedural passes (transitive no-alloc, layering),
-// suppression filtering, and report formatting.
+// layering check over every file's includes, suppression filtering, and
+// report formatting.
 //
 // Directive syntax (inside a // comment; block comments never carry
 // directives, and string literals never reach the parser):
@@ -9,26 +9,22 @@
 //                                     (standalone comment); the reason is
 //                                     mandatory and is carried into the
 //                                     report so reviews can audit it.
-//   // wcle-lint: begin-no-alloc      open a zero-allocation region
-//   // wcle-lint: end-no-alloc        close it
 //
-// A suppression that names an unknown rule, a reason-less suppression, or an
-// unbalanced region marker is itself a "directive" diagnostic — and so is a
+// A suppression that names an unknown rule, a reason-less suppression, or
+// any other directive text is itself a "directive" diagnostic — and so is a
 // *stale* suppression (one whose rule produces no finding on the line it
 // covers): annotations are part of the checked surface, not free-form
 // comments.
 //
-// Pipeline: each file is lexed, directive-parsed, rule-checked, and indexed
-// independently, in sorted path order. The merge stage then runs the
-// interprocedural rules over every file's index at once, applies the
-// capacity-guard exemption to lexical no-alloc findings, matches
-// suppressions, and reports stale ones. Output order is deterministic.
+// Pipeline: each file is lexed, directive-parsed and rule-checked
+// independently, in sorted path order. The merge stage then checks every
+// file's includes against the layer config, matches suppressions, and
+// reports stale ones. Output order is deterministic.
 #pragma once
 
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "lint/rules.hpp"
@@ -66,14 +62,7 @@ struct LintReport {
   bool clean() const { return diagnostics.empty() && errors.empty(); }
 };
 
-/// Lints in-memory buffers (the unit-test entry point): each pair is
-/// (display path, source). The interprocedural passes see all buffers
-/// together, so multi-TU call chains can be tested hermetically.
-LintReport lint_sources(
-    const std::vector<std::pair<std::string, std::string>>& sources,
-    const LintOptions& options = {});
-
-/// Single-buffer convenience wrapper over lint_sources.
+/// Lints one in-memory buffer (the unit-test entry point).
 LintReport lint_source(const std::string& display_path,
                        const std::string& source,
                        const LintOptions& options = {});

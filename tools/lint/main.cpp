@@ -21,7 +21,7 @@ namespace {
 void usage(std::ostream& os) {
   os << "usage: wcle_lint [--root=DIR]... [FILE...] [options]\n"
         "\n"
-        "Static determinism & hot-path checks for the WCLE tree.\n"
+        "Static determinism & layering checks for the WCLE tree.\n"
         "\n"
         "options:\n"
         "  --root=DIR       lint every .cpp/.cc/.hpp/.h under DIR "
@@ -35,8 +35,7 @@ void usage(std::ostream& os) {
         "  --list-rules     print every rule with its description and exit\n"
         "\n"
         "Suppressions: // wcle-lint: <rule>-ok(reason)   (same or next "
-        "line)\n"
-        "No-alloc regions: // wcle-lint: begin-no-alloc .. end-no-alloc\n";
+        "line)\n";
 }
 
 bool file_exists(const std::string& p) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace wcle_lint {
 
@@ -53,6 +54,38 @@ const std::unordered_set<std::string>& rng_draw_calls() {
       "next",      "next_below",    "next_in", "next_double",
       "next_bool", "next_binomial", "shuffle", "fork"};
   return kSet;
+}
+
+/// unordered_map/set/multimap/multiset.
+const std::unordered_set<std::string>& unordered_container_names() {
+  static const std::unordered_set<std::string> kSet = {
+      "unordered_map", "unordered_set", "unordered_multimap",
+      "unordered_multiset"};
+  return kSet;
+}
+
+/// Index of the '>' closing the '<' at `open` (depth-aware, tolerant of
+/// parentheses inside template arguments). Returns npos when the '<' turns
+/// out to be a comparison (a ';' or unbalanced close intervenes).
+std::size_t match_angle(const std::vector<Token>& toks, std::size_t open) {
+  int angle = 1;
+  int paren = 0;
+  for (std::size_t i = open + 1; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind != TokKind::kPunct) continue;
+    if (t.text == "(")
+      ++paren;
+    else if (t.text == ")") {
+      if (--paren < 0) return std::string::npos;
+    } else if (paren == 0 && t.text == "<")
+      ++angle;
+    else if (paren == 0 && t.text == ">") {
+      if (--angle == 0) return i;
+    } else if (t.text == ";" || t.text == "{") {
+      return std::string::npos;
+    }
+  }
+  return std::string::npos;
 }
 
 /// Index of the ')' matching the '(' at `open` (paren counting only).
@@ -296,58 +329,6 @@ void rule_pointer_order(const std::vector<Token>& toks, RuleSink& sink) {
   }
 }
 
-// --------------------------------------------------------------- no-alloc
-
-void rule_no_alloc(const std::vector<Token>& toks,
-                   const std::vector<Region>& regions, RuleSink& sink) {
-  if (regions.empty()) return;
-  auto in_region = [&](std::uint32_t line) {
-    for (const Region& r : regions)
-      if (line >= r.begin_line && line <= r.end_line) return true;
-    return false;
-  };
-
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kIdent || !in_region(t.line)) continue;
-    const Token* next = i + 1 < toks.size() ? &toks[i + 1] : nullptr;
-    const Token* prev = i > 0 ? &toks[i - 1] : nullptr;
-
-    if (t.text == "new" && (!prev || !is_punct(*prev, "::"))) {
-      sink.emit(t, "no-alloc",
-                "operator new inside a no-alloc region: the steady-state hot "
-                "path must not touch the heap");
-      continue;
-    }
-    if (alloc_calls().count(t.text) && next &&
-        (is_punct(*next, "(") || is_punct(*next, "<"))) {
-      sink.emit(t, "no-alloc",
-                t.text + " inside a no-alloc region: the steady-state hot "
-                         "path must not touch the heap");
-      continue;
-    }
-    if (prev && (is_punct(*prev, ".") || is_punct(*prev, "->")) &&
-        growth_calls().count(t.text) && next && is_punct(*next, "(")) {
-      sink.emit(t, "no-alloc",
-                "." + t.text +
-                    "() inside a no-alloc region can grow its container: "
-                    "prove the capacity is warm and suppress with that "
-                    "justification, or hoist the growth out of the region");
-      continue;
-    }
-    if (t.text == "std" && next && is_punct(*next, "::") &&
-        i + 2 < toks.size() && toks[i + 2].kind == TokKind::kIdent &&
-        allocating_std_types().count(toks[i + 2].text)) {
-      sink.emit(toks[i + 2], "no-alloc",
-                "std::" + toks[i + 2].text +
-                    " referenced inside a no-alloc region: node-based / "
-                    "allocating types do not belong on the hot path");
-      ++i;  // skip past "::" so the type name is not re-examined
-      continue;
-    }
-  }
-}
-
 // --------------------------------------------------------------- rng-flow
 
 void rule_rng_flow(const std::vector<Token>& toks, RuleSink& sink) {
@@ -466,64 +447,7 @@ void rule_rng_flow(const std::vector<Token>& toks, RuleSink& sink) {
   }
 }
 
-}  // namespace
-
-// ----------------------------------------------------- shared vocabulary
-
-const std::unordered_set<std::string>& unordered_container_names() {
-  static const std::unordered_set<std::string> kSet = {
-      "unordered_map", "unordered_set", "unordered_multimap",
-      "unordered_multiset"};
-  return kSet;
-}
-
-const std::unordered_set<std::string>& growth_calls() {
-  static const std::unordered_set<std::string> kSet = {
-      "resize",  "reserve", "push_back",     "emplace_back", "emplace",
-      "insert",  "assign",  "shrink_to_fit", "append",       "to_vector"};
-  return kSet;
-}
-
-const std::unordered_set<std::string>& alloc_calls() {
-  static const std::unordered_set<std::string> kSet = {
-      "make_unique", "make_shared", "malloc", "calloc", "realloc", "strdup"};
-  return kSet;
-}
-
-const std::unordered_set<std::string>& allocating_std_types() {
-  static const std::unordered_set<std::string> kSet = {
-      "map",           "multimap",           "set",
-      "multiset",      "list",               "forward_list",
-      "deque",         "unordered_map",      "unordered_set",
-      "unordered_multimap", "unordered_multiset", "function",
-      "string",        "ostringstream",      "stringstream"};
-  return kSet;
-}
-
-std::size_t match_angle(const std::vector<Token>& toks, std::size_t open) {
-  int angle = 1;
-  int paren = 0;
-  for (std::size_t i = open + 1; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kPunct) continue;
-    if (t.text == "(")
-      ++paren;
-    else if (t.text == ")") {
-      if (--paren < 0) return std::string::npos;
-    } else if (paren == 0 && t.text == "<")
-      ++angle;
-    else if (paren == 0 && t.text == ">") {
-      if (--angle == 0) return i;
-    } else if (t.text == ";" || t.text == "{") {
-      return std::string::npos;
-    }
-  }
-  return std::string::npos;
-}
-
 // --------------------------------------------------------------- layering
-
-namespace {
 
 /// "…src/wcle/<layer>/…" -> layer; "" when the path is not layer-governed.
 std::string layer_of_source(const std::string& path) {
@@ -691,8 +615,8 @@ void check_layering(const std::string& display_path,
 
 const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kNames = {
-      "banned-rng", "unordered-iter", "pointer-order",      "no-alloc",
-      "rng-flow",   "layering",       "no-alloc-transitive", "directive"};
+      "banned-rng", "unordered-iter", "pointer-order",
+      "rng-flow",   "layering",       "directive"};
   return kNames;
 }
 
@@ -707,34 +631,24 @@ std::string rule_description(const std::string& rule) {
   if (rule == "pointer-order")
     return "pointer keys in ordered containers / pointer hashing — address "
            "order is run-dependent";
-  if (rule == "no-alloc")
-    return "allocation inside // wcle-lint: begin-no-alloc .. end-no-alloc "
-           "regions (the zero-alloc hot paths); capacity-guarded cold "
-           "growth is exempt";
   if (rule == "rng-flow")
     return "wcle::Rng misuse: by-value copies, mid-run re-seeding, and "
            "draws guarded by unordered-container queries";
   if (rule == "layering")
     return "include edges between src/wcle layers that the declared DAG "
            "(tools/lint/layers.txt) does not permit";
-  if (rule == "no-alloc-transitive")
-    return "call chains from inside a no-alloc region that can reach an "
-           "allocation in another function (may-allocate summaries over "
-           "the call graph)";
   if (rule == "directive")
     return "malformed wcle-lint comment directives (unknown directive, "
-           "unbalanced no-alloc region, stale suppression)";
+           "unknown rule, empty reason, stale suppression)";
   return "";
 }
 
 void run_rules(const std::string& display_path, const LexResult& lx,
-               const std::vector<Region>& regions,
                std::vector<Diagnostic>& out) {
   RuleSink sink{display_path, out};
   rule_banned_rng(lx.tokens, sink);
   rule_unordered_iter(lx.tokens, sink);
   rule_pointer_order(lx.tokens, sink);
-  rule_no_alloc(lx.tokens, regions, sink);
   rule_rng_flow(lx.tokens, sink);
 }
 

@@ -1,8 +1,7 @@
 // The WCLE-specific lint rules. The lexical rules are passes over the token
-// stream produced by lexer.hpp; the interprocedural rules (no-alloc
-// transitive, layering) additionally consume the function index
-// (index.hpp/callgraph.hpp). Diagnostics carry file:line:col positions and a
-// stable rule name that the suppression syntax references
+// stream produced by lexer.hpp; the layering rule checks each file's quoted
+// includes against a declared DAG. Diagnostics carry file:line:col positions
+// and a stable rule name that the suppression syntax references
 // (`// wcle-lint: <rule>-ok(reason)`, see linter.hpp).
 //
 // Lexical rules:
@@ -19,15 +18,6 @@
 //   pointer-order  (D3)  pointer keys in ordered containers or pointer
 //                        hashing/comparators: address order differs between
 //                        runs, so it is nondeterminism in disguise.
-//   no-alloc       (A1)  allocation inside a region annotated
-//                        `// wcle-lint: begin-no-alloc` .. `end-no-alloc`:
-//                        operator new, make_unique/make_shared, growth calls
-//                        (resize/push_back/...), node-based container or
-//                        std::function/std::string mentions, and IdSpan
-//                        materialization (to_vector). Sites that are
-//                        capacity-guarded (control-dependent on a
-//                        size/capacity/empty query — the cold-start growth
-//                        shape) are machine-checked facts, not findings.
 //   rng-flow       (D4)  wcle::Rng misuse: by-value Rng parameters or
 //                        copy-initialization (a copy replays the stream),
 //                        mid-run re-seeding via `x = Rng(...)` (fork() is
@@ -36,21 +26,21 @@
 //                        queries (hash-table state deciding whether a draw
 //                        happens is how hash-order bugs reach the stream).
 //   directive            malformed wcle-lint directives: unknown directive
-//                        text, begin-no-alloc without end, end without
-//                        begin, and suppressions that never fire (stale).
+//                        text, unknown rules, empty reasons, and
+//                        suppressions that never fire (stale).
 //
-// Interprocedural rules (driven from linter.cpp over the merged index):
-//   no-alloc-transitive (A2)  a call chain from inside a no-alloc region
-//                        that can reach an allocation in another function,
-//                        reported with the full chain.
+// Include rule (driven from linter.cpp with the layer config):
 //   layering       (L1)  an include edge between src/wcle/<layer> modules
 //                        that the declared DAG (tools/lint/layers.txt) does
 //                        not permit.
+//
+// The zero-allocation contract of the hot paths is not a lint rule: the
+// runtime operator new counters in tests/test_network.cpp and
+// tests/test_walk_engine.cpp hold it.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "lint/lexer.hpp"
@@ -65,47 +55,17 @@ struct Diagnostic {
   std::string message;
 };
 
-/// A no-alloc source region, in inclusive line numbers (the lines holding the
-/// begin/end markers themselves are included; markers sit on their own lines).
-struct Region {
-  std::uint32_t begin_line = 0;
-  std::uint32_t end_line = 0;
-};
-
-/// Names of every rule that can fire (excludes "directive", which the linter
-/// emits while parsing annotations).
+/// Names of every rule, "directive" included (the linter emits it while
+/// parsing annotations).
 const std::vector<std::string>& rule_names();
 
 /// One-line description for --list-rules.
 std::string rule_description(const std::string& rule);
 
-/// Runs every token-level rule over `lx`, appending to `out`. `regions` are
-/// the no-alloc regions parsed from the file's comments; `display_path` is
-/// stamped into each diagnostic.
+/// Runs every token-level rule over `lx`, appending to `out`;
+/// `display_path` is stamped into each diagnostic.
 void run_rules(const std::string& display_path, const LexResult& lx,
-               const std::vector<Region>& regions,
                std::vector<Diagnostic>& out);
-
-// ---------------------------------------------------------------------------
-// Shared token vocabulary (used by the rules and the index scanner).
-// ---------------------------------------------------------------------------
-
-/// Member calls that can grow their receiver (allocate).
-const std::unordered_set<std::string>& growth_calls();
-
-/// Allocating free functions / factories (make_unique, malloc, ...).
-const std::unordered_set<std::string>& alloc_calls();
-
-/// std:: types whose construction allocates per element or per call.
-const std::unordered_set<std::string>& allocating_std_types();
-
-/// unordered_map/set/multimap/multiset.
-const std::unordered_set<std::string>& unordered_container_names();
-
-/// Index of the '>' closing the '<' at `open` (depth-aware, tolerant of
-/// parentheses inside template arguments). Returns npos when the '<' turns
-/// out to be a comparison (a ';' or unbalanced close intervenes).
-std::size_t match_angle(const std::vector<Token>& toks, std::size_t open);
 
 // ---------------------------------------------------------------------------
 // Layering (L1): the declared dependency DAG of src/wcle.
