@@ -100,8 +100,7 @@ std::unique_ptr<Sink> make_sink(const std::string& format, std::ostream& out) {
 }
 
 /// --trace=FILE handling shared by run/trials/sweep: an opened stream plus
-/// the format-matched writer (JSONL by default, binary for .bin/.btrace or
-/// --trace-format=binary). Empty when --trace was not given.
+/// its trace writer. Empty when --trace was not given.
 struct TraceOutput {
   // Heap-held so the stream's address survives the move out of open_trace —
   // the writer keeps a pointer to it.
@@ -114,17 +113,9 @@ TraceOutput open_trace(const CliArgs& args) {
   TraceOutput t;
   const std::string path = args.get("trace", "");
   if (path.empty()) return t;
-  const std::string fmt = args.get("trace-format", "");
-  TraceFormat format;
-  if (fmt.empty()) format = trace_format_for_path(path);
-  else if (fmt == "jsonl" || fmt == "json") format = TraceFormat::kJsonl;
-  else if (fmt == "binary" || fmt == "bin") format = TraceFormat::kBinary;
-  else
-    throw std::invalid_argument("unknown --trace-format=" + fmt +
-                                " (jsonl, binary)");
   t.file = std::make_unique<std::ofstream>(path, std::ios::binary);
   if (!*t.file) throw std::runtime_error("cannot open --trace=" + path);
-  t.writer = make_trace_writer(format, *t.file);
+  t.writer = std::make_unique<BinaryTraceWriter>(*t.file);
   return t;
 }
 
@@ -395,8 +386,7 @@ int cmd_replay(const CliArgs& args) {
   const bool diff = args.get_bool("diff", false);
   const ReplayReport rep =
       verify_replay(path, get_u32(args, "threads", 0), diff);
-  std::cout << "trace:  " << path << " ("
-            << (rep.format == TraceFormat::kBinary ? "binary" : "jsonl")
+  std::cout << "trace:  " << path << " (version=" << rep.header.version
             << ", tool=" << rep.header.tool << ")\n"
             << "spec:   " << rep.header.spec << "\n";
   std::cout << "replay: " << rep.detail << "\n";
@@ -653,9 +643,8 @@ void usage() {
       "            GET /jobs/<id>/results streams JSONL byte-identical to\n"
       "            `sweep --format=jsonl`; /cache /metricz /healthz;\n"
       "            SIGTERM drains gracefully)\n"
-      "  trace:    run/trials/sweep --trace=FILE "
-      "[--trace-format=jsonl|binary]\n"
-      "            (per-round timelines; .bin/.btrace default to binary)\n"
+      "  trace:    run/trials/sweep --trace=FILE  (per-round timelines in\n"
+      "            the binary trace framing, e.g. FILE.btrace)\n"
       "            run/trials/sweep --trace-every=<k>  (sampled rows: keep\n"
       "            every k-th round row; events always kept)\n"
       "            replay --trace=FILE [--threads=<t>] [--diff]\n"

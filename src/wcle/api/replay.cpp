@@ -27,30 +27,20 @@ std::string describe_event(const TraceEvent& e) {
   return out.str();
 }
 
+std::string describe_hop(const TraceWalkHop& h) {
+  std::ostringstream out;
+  out << "round=" << h.round << " origin=" << h.origin << " src=" << h.src
+      << " dst=" << h.dst << " count=" << h.count
+      << " tag=" << static_cast<unsigned>(h.tag);
+  return out.str();
+}
+
 std::string describe_meta(const TraceRunMeta& m) {
   std::ostringstream out;
   out << "run=" << m.run << " cell=" << m.cell << " trial=" << m.trial
       << " seed=" << m.seed << " n=" << m.n << " algorithm=" << m.algorithm
       << " family=" << m.family;
   return out.str();
-}
-
-bool same_round(const TraceRound& a, const TraceRound& b) {
-  return a.round == b.round && a.sends == b.sends && a.quanta == b.quanta &&
-         a.delivered == b.delivered && a.dropped_rand == b.dropped_rand &&
-         a.dropped_crash == b.dropped_crash &&
-         a.dropped_link == b.dropped_link && a.backlog == b.backlog;
-}
-
-bool same_event(const TraceEvent& a, const TraceEvent& b) {
-  return a.round == b.round && a.kind == b.kind && a.a == b.a && a.b == b.b &&
-         a.label == b.label;
-}
-
-bool same_meta(const TraceRunMeta& a, const TraceRunMeta& b) {
-  return a.run == b.run && a.cell == b.cell && a.trial == b.trial &&
-         a.seed == b.seed && a.n == b.n && a.algorithm == b.algorithm &&
-         a.family == b.family;
 }
 
 /// A two-sided "original vs regenerated" block for one record.
@@ -64,45 +54,50 @@ std::string side_by_side(const std::string& what, std::uint64_t run,
   return out.str();
 }
 
-/// Walks both parsed streams in record order and describes the first
-/// disagreement. Returns an empty string when the decoded records agree
-/// (a pure framing difference — e.g. a truncated trailer).
+/// The first disagreement between one run's records of one kind, named
+/// `what` ("round row", "event", "walk hop"); empty when they agree.
+template <typename Record, typename Describe>
+std::string first_record_difference(const std::string& what,
+                                    std::uint64_t run,
+                                    const std::vector<Record>& a,
+                                    const std::vector<Record>& b,
+                                    Describe describe) {
+  const std::size_t common = std::min(a.size(), b.size());
+  for (std::size_t j = 0; j < common; ++j)
+    if (a[j] != b[j])
+      return side_by_side(what + " #" + std::to_string(j), run,
+                          describe(a[j]), describe(b[j]));
+  if (a.size() == b.size()) return "";
+  const bool more_a = a.size() > b.size();
+  const std::string extra = describe(more_a ? a[common] : b[common]);
+  return side_by_side(what + " #" + std::to_string(common), run,
+                      more_a ? extra : "<absent>",
+                      more_a ? "<absent>" : extra);
+}
+
+/// Walks both parsed streams run by run — meta, then round rows, events and
+/// walk hops — and describes the first disagreement. Returns an empty string
+/// when the decoded records agree (a pure framing difference — e.g. a
+/// truncated trailer).
 std::string decode_first_difference(const TraceFileData& a,
                                     const TraceFileData& b) {
   const std::size_t runs = std::min(a.runs.size(), b.runs.size());
   for (std::size_t i = 0; i < runs; ++i) {
     const TraceRunData& ra = a.runs[i];
     const TraceRunData& rb = b.runs[i];
-    if (!same_meta(ra.meta, rb.meta))
-      return side_by_side("run meta", ra.meta.run, describe_meta(ra.meta),
+    const std::uint64_t run = ra.meta.run;
+    if (ra.meta != rb.meta)
+      return side_by_side("run meta", run, describe_meta(ra.meta),
                           describe_meta(rb.meta));
-    const std::size_t rows = std::min(ra.rounds.size(), rb.rounds.size());
-    for (std::size_t j = 0; j < rows; ++j)
-      if (!same_round(ra.rounds[j], rb.rounds[j]))
-        return side_by_side("round row #" + std::to_string(j), ra.meta.run,
-                            describe_round(ra.rounds[j]),
-                            describe_round(rb.rounds[j]));
-    if (ra.rounds.size() != rb.rounds.size()) {
-      const bool more_a = ra.rounds.size() > rb.rounds.size();
-      const TraceRound& extra =
-          more_a ? ra.rounds[rows] : rb.rounds[rows];
-      return side_by_side("round row #" + std::to_string(rows), ra.meta.run,
-                          more_a ? describe_round(extra) : "<absent>",
-                          more_a ? "<absent>" : describe_round(extra));
-    }
-    const std::size_t evs = std::min(ra.events.size(), rb.events.size());
-    for (std::size_t j = 0; j < evs; ++j)
-      if (!same_event(ra.events[j], rb.events[j]))
-        return side_by_side("event #" + std::to_string(j), ra.meta.run,
-                            describe_event(ra.events[j]),
-                            describe_event(rb.events[j]));
-    if (ra.events.size() != rb.events.size()) {
-      const bool more_a = ra.events.size() > rb.events.size();
-      const TraceEvent& extra = more_a ? ra.events[evs] : rb.events[evs];
-      return side_by_side("event #" + std::to_string(evs), ra.meta.run,
-                          more_a ? describe_event(extra) : "<absent>",
-                          more_a ? "<absent>" : describe_event(extra));
-    }
+    std::string diff = first_record_difference("round row", run, ra.rounds,
+                                               rb.rounds, describe_round);
+    if (diff.empty())
+      diff = first_record_difference("event", run, ra.events, rb.events,
+                                     describe_event);
+    if (diff.empty())
+      diff = first_record_difference("walk hop", run, ra.hops, rb.hops,
+                                     describe_hop);
+    if (!diff.empty()) return diff;
   }
   if (a.runs.size() != b.runs.size()) {
     std::ostringstream out;
@@ -119,17 +114,16 @@ ReplayReport verify_replay(const std::string& path, unsigned threads,
                            bool diff) {
   ReplayReport report;
   const std::string original = read_file_bytes(path);
-  report.header = parse_trace_header(original, &report.format);
+  report.header = parse_trace_header(original);
   report.original_bytes = original.size();
 
   const ExperimentSpec spec = parse_spec(report.header.spec);
 
   std::ostringstream buf;
-  const std::unique_ptr<TraceWriter> writer =
-      make_trace_writer(report.format, buf);
-  writer->header(report.header);
+  BinaryTraceWriter writer(buf);
+  writer.header(report.header);
   const std::vector<CellResult> results =
-      run_sweep(spec, /*sinks=*/{}, threads, writer.get());
+      run_sweep(spec, /*sinks=*/{}, threads, &writer);
   report.runs = static_cast<std::uint64_t>(results.size()) *
                 static_cast<std::uint64_t>(spec.trials);
 

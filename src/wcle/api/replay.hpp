@@ -1,13 +1,13 @@
 // The replay verifier: turns the repo's determinism guarantee into a
 // checkable artifact. A trace header carries a grid-grammar spec whose sweep
 // expansion regenerates every recorded run; verify_replay re-executes the
-// spec with a fresh writer of the same format and byte-compares the
-// regenerated stream against the file. Any nondeterminism anywhere in the
-// stack — graph build, protocol randomness, fault injection, transport
-// service order, serialization — shows up as a first-difference offset, and
-// the diff mode decodes the first *record* (run meta, round row, or event)
-// that disagrees, so drift reads as "run 3, round 214: quanta 12 vs 11"
-// instead of a raw byte offset.
+// spec with a fresh writer and byte-compares the regenerated stream against
+// the file. Any nondeterminism anywhere in the stack — graph build, protocol
+// randomness, fault injection, transport service order, serialization —
+// shows up as a first-difference offset, and the diff mode decodes the first
+// *record* (run meta, round row, event, or walk hop) that disagrees, so
+// drift reads as "run 3, round 214: quanta 12 vs 11" instead of a raw byte
+// offset.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +21,6 @@ namespace wcle {
 struct ReplayReport {
   bool ok = false;
   TraceHeader header;
-  TraceFormat format = TraceFormat::kJsonl;
   std::uint64_t runs = 0;  ///< runs regenerated (cells x trials)
   std::size_t original_bytes = 0;
   std::size_t regenerated_bytes = 0;

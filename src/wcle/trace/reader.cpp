@@ -1,5 +1,7 @@
 #include "wcle/trace/reader.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -9,10 +11,11 @@ namespace wcle {
 
 namespace {
 
-// ------------------------------------------------ targeted JSONL parsing
+// ------------------------------------------ targeted header-line parsing
 
 /// Position just past `"key":` in `line`, or npos. Keys are unique within
-/// every line shape the writers emit, so plain substring search is exact.
+/// the header line and string values escape their quotes, so plain
+/// substring search is exact.
 std::size_t value_pos(const std::string& line, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
   const std::size_t at = line.find(needle);
@@ -26,7 +29,9 @@ bool field_u64(const std::string& line, const std::string& key,
   std::uint64_t v = 0;
   bool any = false;
   while (at < line.size() && line[at] >= '0' && line[at] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(line[at] - '0');
+    const auto digit = static_cast<std::uint64_t>(line[at] - '0');
+    if (v > (UINT64_MAX - digit) / 10) return false;  // would wrap
+    v = v * 10 + digit;
     ++at;
     any = true;
   }
@@ -62,14 +67,14 @@ bool field_str(const std::string& line, const std::string& key,
         case 'r': v += '\r'; break;
         case 't': v += '\t'; break;
         case 'u': {
-          // Writers only emit \u00XX (control characters).
-          if (at + 4 <= line.size()) {
-            const unsigned code =
-                static_cast<unsigned>(std::stoul(line.substr(at, 4), nullptr,
-                                                 16));
-            v += static_cast<char>(code & 0xff);
-            at += 4;
-          }
+          // The writer only emits \u00XX (control characters).
+          const auto hex = [](unsigned char d) { return std::isxdigit(d); };
+          if (at + 4 > line.size() ||
+              !std::all_of(line.begin() + at, line.begin() + at + 4, hex))
+            throw std::runtime_error("trace: \\u escape without 4 hex "
+                                     "digits in field '" + key + "': " + line);
+          v += static_cast<char>(std::stoul(line.substr(at, 4), nullptr, 16));
+          at += 4;
           break;
         }
         default: v += esc; break;
@@ -79,6 +84,9 @@ bool field_str(const std::string& line, const std::string& key,
     v += c;
     ++at;
   }
+  if (at >= line.size())
+    throw std::runtime_error("trace: unterminated string field '" + key +
+                             "': " + line);
   out = std::move(v);
   return true;
 }
@@ -91,107 +99,25 @@ std::string require_str(const std::string& line, const std::string& key) {
   return v;
 }
 
-TraceEventKind kind_from_name(const std::string& name) {
-  for (int k = 0; k <= static_cast<int>(TraceEventKind::kPhase); ++k) {
-    const auto kind = static_cast<TraceEventKind>(k);
-    if (name == trace_event_kind_name(kind)) return kind;
-  }
-  throw std::runtime_error("trace: unknown event kind '" + name + "'");
-}
-
 TraceHeader header_from_line(const std::string& line) {
   TraceHeader h;
-  h.version = static_cast<std::uint32_t>(require_u64(line, "version"));
+  const std::uint64_t version = require_u64(line, "version");
   // v1 is a strict subset of v2 (no walk_hop records), so every supported
   // version parses with one reader.
-  if (h.version < kTraceVersionMin || h.version > kTraceVersion)
+  if (version < kTraceVersionMin || version > kTraceVersion)
     throw std::runtime_error("trace: unsupported version " +
-                             std::to_string(h.version));
+                             std::to_string(version));
+  h.version = static_cast<std::uint32_t>(version);
   h.tool = require_str(line, "tool");
   h.spec = require_str(line, "spec");
   return h;
 }
 
-TraceFileData parse_jsonl(const std::string& contents) {
-  TraceFileData data;
-  data.format = TraceFormat::kJsonl;
-  std::istringstream in(contents);
-  std::string line;
-  bool have_header = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::string type = require_str(line, "type");
-    if (type == "header") {
-      data.header = header_from_line(line);
-      have_header = true;
-    } else if (type == "run") {
-      TraceRunData run;
-      run.meta.run = require_u64(line, "run");
-      run.meta.cell = require_u64(line, "cell");
-      run.meta.trial = require_u64(line, "trial");
-      run.meta.seed = require_u64(line, "seed");
-      run.meta.n = require_u64(line, "n");
-      run.meta.algorithm = require_str(line, "algorithm");
-      run.meta.family = require_str(line, "family");
-      data.runs.push_back(std::move(run));
-    } else if (type == "round") {
-      if (data.runs.empty())
-        throw std::runtime_error("trace: round line before any run line");
-      TraceRound r;
-      r.round = require_u64(line, "round");
-      r.sends = static_cast<std::uint32_t>(require_u64(line, "sends"));
-      r.quanta = static_cast<std::uint32_t>(require_u64(line, "quanta"));
-      r.delivered = static_cast<std::uint32_t>(require_u64(line, "delivered"));
-      r.dropped_rand =
-          static_cast<std::uint32_t>(require_u64(line, "drop_rand"));
-      r.dropped_crash =
-          static_cast<std::uint32_t>(require_u64(line, "drop_crash"));
-      r.dropped_link =
-          static_cast<std::uint32_t>(require_u64(line, "drop_link"));
-      r.backlog = static_cast<std::uint32_t>(require_u64(line, "backlog"));
-      data.runs.back().rounds.push_back(r);
-    } else if (type == "event") {
-      if (data.runs.empty())
-        throw std::runtime_error("trace: event line before any run line");
-      TraceEvent e;
-      e.round = require_u64(line, "round");
-      e.kind = kind_from_name(require_str(line, "kind"));
-      e.a = require_u64(line, "a");
-      e.b = require_u64(line, "b");
-      e.label = require_str(line, "label");
-      data.runs.back().events.push_back(std::move(e));
-    } else if (type == "walk_hop") {
-      if (data.runs.empty())
-        throw std::runtime_error("trace: walk_hop line before any run line");
-      TraceWalkHop h;
-      h.round = require_u64(line, "round");
-      h.origin = static_cast<std::uint32_t>(require_u64(line, "origin"));
-      h.src = static_cast<std::uint32_t>(require_u64(line, "src"));
-      h.dst = static_cast<std::uint32_t>(require_u64(line, "dst"));
-      h.count = static_cast<std::uint32_t>(require_u64(line, "count"));
-      h.tag = static_cast<std::uint8_t>(require_u64(line, "tag"));
-      data.runs.back().hops.push_back(h);
-    } else if (type == "run_end") {
-      // Rows and events are re-derivable; only the declared quanta total is
-      // kept — it bills rounds a --trace-every sampling dropped, which the
-      // summarize pass needs to report sampled traces honestly.
-      if (!data.runs.empty())
-        data.runs.back().declared_quanta = require_u64(line, "quanta");
-    } else if (type == "trace_end") {
-      data.declared_runs = require_u64(line, "runs");
-    } else {
-      throw std::runtime_error("trace: unknown line type '" + type + "'");
-    }
-  }
-  if (!have_header) throw std::runtime_error("trace: missing header line");
-  return data;
-}
+// -------------------------------------------------------- record parsing
 
-// ------------------------------------------------------- binary parsing
-
-class BinaryCursor {
+class Cursor {
  public:
-  BinaryCursor(const std::string& data, std::size_t at)
+  Cursor(const std::string& data, std::size_t at)
       : data_(&data), at_(at) {}
 
   bool done() const { return at_ >= data_->size(); }
@@ -215,7 +141,7 @@ class BinaryCursor {
  private:
   void need(std::size_t bytes) const {
     if (at_ + bytes > data_->size())
-      throw std::runtime_error("trace: truncated binary trace");
+      throw std::runtime_error("trace: truncated record");
   }
   std::uint64_t uint_le(int bytes) {
     need(static_cast<std::size_t>(bytes));
@@ -232,74 +158,24 @@ class BinaryCursor {
   std::size_t at_;
 };
 
-TraceFileData parse_binary(const std::string& contents) {
-  TraceFileData data;
-  data.format = TraceFormat::kBinary;
-  BinaryCursor cur(contents, 8);  // past the magic
+/// Checks the magic and parses the embedded header line; `records` receives
+/// the offset of the first record.
+TraceHeader header_at_front(const std::string& contents, std::size_t& records) {
+  if (contents.size() < 8 || std::memcmp(contents.data(), kTraceMagic, 8) != 0)
+    throw std::runtime_error("trace: missing the WCLETR01 magic");
+  Cursor cur(contents, 8);
   const std::uint32_t header_len = cur.u32();
   if (12 + static_cast<std::size_t>(header_len) > contents.size())
-    throw std::runtime_error("trace: truncated binary header");
-  data.header = header_from_line(contents.substr(12, header_len));
-  BinaryCursor rec(contents, 12 + header_len);
-  while (!rec.done()) {
-    const std::uint8_t tag = rec.u8();
-    if (tag == 1) {  // run
-      TraceRunData run;
-      run.meta.run = rec.u64();
-      run.meta.cell = rec.u64();
-      run.meta.trial = rec.u64();
-      run.meta.seed = rec.u64();
-      run.meta.n = rec.u64();
-      run.meta.algorithm = rec.str();
-      run.meta.family = rec.str();
-      data.runs.push_back(std::move(run));
-    } else if (tag == 2) {  // round
-      if (data.runs.empty())
-        throw std::runtime_error("trace: round record before any run");
-      TraceRound r;
-      r.round = rec.u64();
-      r.sends = rec.u32();
-      r.quanta = rec.u32();
-      r.delivered = rec.u32();
-      r.dropped_rand = rec.u32();
-      r.dropped_crash = rec.u32();
-      r.dropped_link = rec.u32();
-      r.backlog = rec.u32();
-      data.runs.back().rounds.push_back(r);
-    } else if (tag == 3) {  // event
-      if (data.runs.empty())
-        throw std::runtime_error("trace: event record before any run");
-      TraceEvent e;
-      e.round = rec.u64();
-      e.kind = static_cast<TraceEventKind>(rec.u8());
-      e.a = rec.u64();
-      e.b = rec.u64();
-      e.label = rec.str();
-      data.runs.back().events.push_back(std::move(e));
-    } else if (tag == 4) {  // run_end
-      rec.u64();
-      rec.u64();
-      const std::uint64_t quanta = rec.u64();
-      if (!data.runs.empty()) data.runs.back().declared_quanta = quanta;
-    } else if (tag == 5) {  // trace_end
-      data.declared_runs = rec.u64();
-    } else if (tag == 6) {  // walk_hop (schema v2)
-      if (data.runs.empty())
-        throw std::runtime_error("trace: walk_hop record before any run");
-      TraceWalkHop h;
-      h.round = rec.u64();
-      h.origin = rec.u32();
-      h.src = rec.u32();
-      h.dst = rec.u32();
-      h.count = rec.u32();
-      h.tag = rec.u8();
-      data.runs.back().hops.push_back(h);
-    } else {
-      throw std::runtime_error("trace: unknown binary record tag " +
-                               std::to_string(tag));
-    }
-  }
-  return data;
+    throw std::runtime_error("trace: truncated header");
+  records = 12 + header_len;
+  return header_from_line(contents.substr(12, header_len));
+}
+
+TraceRunData& current_run(TraceFileData& data, const char* record) {
+  if (data.runs.empty())
+    throw std::runtime_error(std::string("trace: ") + record +
+                             " record before any run");
+  return data.runs.back();
 }
 
 }  // namespace
@@ -312,36 +188,79 @@ std::string read_file_bytes(const std::string& path) {
   return buf.str();
 }
 
-TraceFormat detect_trace_format(const std::string& contents) {
-  return contents.size() >= 8 &&
-                 std::memcmp(contents.data(), kTraceMagic, 8) == 0
-             ? TraceFormat::kBinary
-             : TraceFormat::kJsonl;
-}
-
-TraceHeader parse_trace_header(const std::string& contents,
-                               TraceFormat* format) {
-  const TraceFormat f = detect_trace_format(contents);
-  if (format) *format = f;
-  if (f == TraceFormat::kBinary) {
-    BinaryCursor cur(contents, 8);
-    const std::uint32_t header_len = cur.u32();
-    if (12 + static_cast<std::size_t>(header_len) > contents.size())
-      throw std::runtime_error("trace: truncated binary header");
-    return header_from_line(contents.substr(12, header_len));
-  }
-  const std::size_t eol = contents.find('\n');
-  const std::string first =
-      eol == std::string::npos ? contents : contents.substr(0, eol);
-  if (first.find("\"type\":\"header\"") == std::string::npos)
-    throw std::runtime_error("trace: first line is not a header line");
-  return header_from_line(first);
+TraceHeader parse_trace_header(const std::string& contents) {
+  std::size_t records = 0;
+  return header_at_front(contents, records);
 }
 
 TraceFileData parse_trace(const std::string& contents) {
-  return detect_trace_format(contents) == TraceFormat::kBinary
-             ? parse_binary(contents)
-             : parse_jsonl(contents);
+  TraceFileData data;
+  std::size_t records = 0;
+  data.header = header_at_front(contents, records);
+  Cursor rec(contents, records);
+  while (!rec.done()) {
+    const std::uint8_t tag = rec.u8();
+    if (tag == kTraceRecRun) {
+      TraceRunData run;
+      run.meta.run = rec.u64();
+      run.meta.cell = rec.u64();
+      run.meta.trial = rec.u64();
+      run.meta.seed = rec.u64();
+      run.meta.n = rec.u64();
+      run.meta.algorithm = rec.str();
+      run.meta.family = rec.str();
+      data.runs.push_back(std::move(run));
+    } else if (tag == kTraceRecRound) {
+      TraceRunData& run = current_run(data, "round");
+      TraceRound r;
+      r.round = rec.u64();
+      r.sends = rec.u32();
+      r.quanta = rec.u32();
+      r.delivered = rec.u32();
+      r.dropped_rand = rec.u32();
+      r.dropped_crash = rec.u32();
+      r.dropped_link = rec.u32();
+      r.backlog = rec.u32();
+      run.rounds.push_back(r);
+    } else if (tag == kTraceRecEvent) {
+      TraceRunData& run = current_run(data, "event");
+      TraceEvent e;
+      e.round = rec.u64();
+      const std::uint8_t kind = rec.u8();
+      if (kind > static_cast<std::uint8_t>(TraceEventKind::kPhase))
+        throw std::runtime_error("trace: unknown event kind " +
+                                 std::to_string(kind));
+      e.kind = static_cast<TraceEventKind>(kind);
+      e.a = rec.u64();
+      e.b = rec.u64();
+      e.label = rec.str();
+      run.events.push_back(std::move(e));
+    } else if (tag == kTraceRecRunEnd) {
+      // Rows and events are re-derivable; only the declared quanta total is
+      // kept — it bills rounds a --trace-every sampling dropped, which the
+      // summarize pass needs to report sampled traces honestly.
+      rec.u64();
+      rec.u64();
+      const std::uint64_t quanta = rec.u64();
+      if (!data.runs.empty()) data.runs.back().declared_quanta = quanta;
+    } else if (tag == kTraceRecEnd) {
+      data.declared_runs = rec.u64();
+    } else if (tag == kTraceRecWalkHop) {
+      TraceRunData& run = current_run(data, "walk_hop");
+      TraceWalkHop h;
+      h.round = rec.u64();
+      h.origin = rec.u32();
+      h.src = rec.u32();
+      h.dst = rec.u32();
+      h.count = rec.u32();
+      h.tag = rec.u8();
+      run.hops.push_back(h);
+    } else {
+      throw std::runtime_error("trace: unknown record tag " +
+                               std::to_string(tag));
+    }
+  }
+  return data;
 }
 
 TraceFileData read_trace_file(const std::string& path) {

@@ -1,8 +1,10 @@
-// Readers for the two trace framings (writer.hpp). The JSONL parser is
-// deliberately minimal: it understands exactly the line shapes the writers
-// emit (flat objects, known keys) — enough for the replay verifier to pull
-// the header out of any trace and for the summarize pass to reload full
-// timelines, without dragging a JSON library into the build.
+// Reader for the trace framing (writer.hpp): enough for the replay verifier
+// to pull the header out of a trace and for the summarize and obs passes to
+// reload full timelines. The embedded header line is parsed by a minimal
+// reader that understands exactly the shape trace_header_line emits, so no
+// JSON library enters the build. Malformed input — a missing magic, an
+// unknown record tag or event kind, a truncated record, a bad header
+// escape — throws std::runtime_error("trace: ...").
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,6 @@ struct TraceRunData {
 /// A fully reloaded trace file.
 struct TraceFileData {
   TraceHeader header;
-  TraceFormat format = TraceFormat::kJsonl;
   std::vector<TraceRunData> runs;
   std::uint64_t declared_runs = 0;  ///< the trailer's run count
 };
@@ -36,16 +37,11 @@ struct TraceFileData {
 /// std::runtime_error when the file cannot be opened.
 std::string read_file_bytes(const std::string& path);
 
-/// Detects the framing from the leading bytes (binary magic vs JSONL).
-TraceFormat detect_trace_format(const std::string& contents);
+/// Extracts just the header from raw trace bytes. Throws std::runtime_error
+/// on malformed input or a version the reader does not understand.
+TraceHeader parse_trace_header(const std::string& contents);
 
-/// Extracts just the header from raw trace bytes (either framing). Throws
-/// std::runtime_error on malformed input or a version the reader does not
-/// understand.
-TraceHeader parse_trace_header(const std::string& contents,
-                               TraceFormat* format = nullptr);
-
-/// Fully parses raw trace bytes (either framing).
+/// Fully parses raw trace bytes.
 TraceFileData parse_trace(const std::string& contents);
 
 /// read_file_bytes + parse_trace.

@@ -40,7 +40,8 @@ enum class TraceEventKind : std::uint8_t {
   kPhase = 6,      ///< protocol phase transition (label + value a)
 };
 
-/// Stable wire name ("crash", "link_down", ...) used by every writer.
+/// Stable name ("crash", "link_down", ...) used by replay --diff and the
+/// Perfetto export.
 const char* trace_event_kind_name(TraceEventKind kind);
 
 /// One transport round on the absolute timeline.
@@ -53,6 +54,7 @@ struct TraceRound {
   std::uint32_t dropped_crash = 0;  ///< crash-stop losses (incl. muted sends)
   std::uint32_t dropped_link = 0;   ///< failed-link losses
   std::uint32_t backlog = 0;        ///< directed edges still busy at round end
+  bool operator==(const TraceRound&) const = default;
 };
 
 /// One discrete event. `a`/`b` are kind-specific operands (see
@@ -63,6 +65,7 @@ struct TraceEvent {
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   std::string label;
+  bool operator==(const TraceEvent&) const = default;
 };
 
 /// One walk-token delivery (schema v2, `--trace-walks`): a coalesced token
@@ -77,6 +80,7 @@ struct TraceWalkHop {
   std::uint32_t dst = 0;     ///< receiving endpoint
   std::uint32_t count = 0;   ///< coalesced walker multiplicity
   std::uint8_t tag = 0;      ///< transport tag (kTagWalkToken)
+  bool operator==(const TraceWalkHop&) const = default;
 };
 
 class TraceRecorder {

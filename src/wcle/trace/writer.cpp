@@ -7,8 +7,6 @@
 
 namespace wcle {
 
-// ------------------------------------------------------------------ JSONL
-
 std::string trace_header_line(const TraceHeader& h) {
   std::ostringstream out;
   out << "{\"type\":\"header\",\"version\":" << h.version << ",\"tool\":\""
@@ -17,64 +15,7 @@ std::string trace_header_line(const TraceHeader& h) {
   return out.str();
 }
 
-void JsonlTraceWriter::header(const TraceHeader& h) {
-  *out_ << trace_header_line(h) << "\n";
-}
-
-void JsonlTraceWriter::begin_run(const TraceRunMeta& m) {
-  run_ = m.run;
-  *out_ << "{\"type\":\"run\",\"run\":" << m.run << ",\"cell\":" << m.cell
-        << ",\"trial\":" << m.trial << ",\"seed\":" << m.seed
-        << ",\"algorithm\":\"" << json_escape(m.algorithm)
-        << "\",\"family\":\"" << json_escape(m.family) << "\",\"n\":" << m.n
-        << "}\n";
-}
-
-void JsonlTraceWriter::round(const TraceRound& r) {
-  *out_ << "{\"type\":\"round\",\"run\":" << run_ << ",\"round\":" << r.round
-        << ",\"sends\":" << r.sends << ",\"quanta\":" << r.quanta
-        << ",\"delivered\":" << r.delivered << ",\"drop_rand\":"
-        << r.dropped_rand << ",\"drop_crash\":" << r.dropped_crash
-        << ",\"drop_link\":" << r.dropped_link << ",\"backlog\":" << r.backlog
-        << "}\n";
-}
-
-void JsonlTraceWriter::event(const TraceEvent& e) {
-  *out_ << "{\"type\":\"event\",\"run\":" << run_ << ",\"round\":" << e.round
-        << ",\"kind\":\"" << trace_event_kind_name(e.kind) << "\",\"a\":"
-        << e.a << ",\"b\":" << e.b << ",\"label\":\"" << json_escape(e.label)
-        << "\"}\n";
-}
-
-void JsonlTraceWriter::walk_hop(const TraceWalkHop& h) {
-  *out_ << "{\"type\":\"walk_hop\",\"run\":" << run_ << ",\"round\":"
-        << h.round << ",\"origin\":" << h.origin << ",\"src\":" << h.src
-        << ",\"dst\":" << h.dst << ",\"count\":" << h.count
-        << ",\"tag\":" << static_cast<std::uint32_t>(h.tag) << "}\n";
-}
-
-void JsonlTraceWriter::end_run(std::uint64_t rounds, std::uint64_t events,
-                               std::uint64_t quanta) {
-  *out_ << "{\"type\":\"run_end\",\"run\":" << run_ << ",\"rounds\":" << rounds
-        << ",\"events\":" << events << ",\"quanta\":" << quanta << "}\n";
-}
-
-void JsonlTraceWriter::finish(std::uint64_t runs) {
-  *out_ << "{\"type\":\"trace_end\",\"runs\":" << runs << "}\n";
-  out_->flush();
-}
-
-// ----------------------------------------------------------------- binary
-
 namespace {
-
-// Record tags of the binary framing (one byte each).
-constexpr std::uint8_t kRecRun = 1;
-constexpr std::uint8_t kRecRound = 2;
-constexpr std::uint8_t kRecEvent = 3;
-constexpr std::uint8_t kRecRunEnd = 4;
-constexpr std::uint8_t kRecEnd = 5;
-constexpr std::uint8_t kRecWalkHop = 6;  // schema v2
 
 void put_u8(std::ostream& out, std::uint8_t v) {
   out.put(static_cast<char>(v));
@@ -109,7 +50,7 @@ void BinaryTraceWriter::header(const TraceHeader& h) {
 }
 
 void BinaryTraceWriter::begin_run(const TraceRunMeta& m) {
-  put_u8(*out_, kRecRun);
+  put_u8(*out_, kTraceRecRun);
   put_u64(*out_, m.run);
   put_u64(*out_, m.cell);
   put_u64(*out_, m.trial);
@@ -120,7 +61,7 @@ void BinaryTraceWriter::begin_run(const TraceRunMeta& m) {
 }
 
 void BinaryTraceWriter::round(const TraceRound& r) {
-  put_u8(*out_, kRecRound);
+  put_u8(*out_, kTraceRecRound);
   put_u64(*out_, r.round);
   put_u32(*out_, r.sends);
   put_u32(*out_, r.quanta);
@@ -132,7 +73,7 @@ void BinaryTraceWriter::round(const TraceRound& r) {
 }
 
 void BinaryTraceWriter::event(const TraceEvent& e) {
-  put_u8(*out_, kRecEvent);
+  put_u8(*out_, kTraceRecEvent);
   put_u64(*out_, e.round);
   put_u8(*out_, static_cast<std::uint8_t>(e.kind));
   put_u64(*out_, e.a);
@@ -141,7 +82,7 @@ void BinaryTraceWriter::event(const TraceEvent& e) {
 }
 
 void BinaryTraceWriter::walk_hop(const TraceWalkHop& h) {
-  put_u8(*out_, kRecWalkHop);
+  put_u8(*out_, kTraceRecWalkHop);
   put_u64(*out_, h.round);
   put_u32(*out_, h.origin);
   put_u32(*out_, h.src);
@@ -152,35 +93,21 @@ void BinaryTraceWriter::walk_hop(const TraceWalkHop& h) {
 
 void BinaryTraceWriter::end_run(std::uint64_t rounds, std::uint64_t events,
                                 std::uint64_t quanta) {
-  put_u8(*out_, kRecRunEnd);
+  put_u8(*out_, kTraceRecRunEnd);
   put_u64(*out_, rounds);
   put_u64(*out_, events);
   put_u64(*out_, quanta);
 }
 
 void BinaryTraceWriter::finish(std::uint64_t runs) {
-  put_u8(*out_, kRecEnd);
+  put_u8(*out_, kTraceRecEnd);
   put_u64(*out_, runs);
   out_->flush();
 }
 
-// ----------------------------------------------------------------- shared
-
-TraceFormat trace_format_for_path(const std::string& path) {
-  const auto ends_with = [&path](const char* suffix) {
-    const std::string s(suffix);
-    return path.size() >= s.size() &&
-           path.compare(path.size() - s.size(), s.size(), s) == 0;
-  };
-  return ends_with(".bin") || ends_with(".btrace") ? TraceFormat::kBinary
-                                                   : TraceFormat::kJsonl;
-}
-
-std::unique_ptr<TraceWriter> make_trace_writer(TraceFormat format,
+std::unique_ptr<TraceWriter> make_trace_writer(TraceFormat /*format*/,
                                                std::ostream& out) {
-  if (format == TraceFormat::kBinary)
-    return std::make_unique<BinaryTraceWriter>(out);
-  return std::make_unique<JsonlTraceWriter>(out);
+  return std::make_unique<BinaryTraceWriter>(out);
 }
 
 void write_run(TraceWriter& w, const TraceRunMeta& meta,

@@ -1,17 +1,14 @@
-// Timeline writers: serialize a TraceRecorder's per-round rows and discrete
-// events to a trace file. Two formats ship behind one TraceWriter interface:
+// Timeline writer: serializes a TraceRecorder's per-round rows, discrete
+// events and walk hops to a trace file in one compact little-endian framing:
+// the magic "WCLETR01", a u32 length and the JSON header line
+// (trace_header_line) verbatim, then one-byte-tagged fixed-width records —
+// for each run a `run` meta record, `round`/`event`/`walk_hop` records merged
+// in round order, and a `run_end` summary; a final `trace_end` trailer. The
+// record layout is documented in README.md ("Tracing & replay").
 //
-//   - JSONL ("one JSON object per line"): a versioned header line, then for
-//     each run a `run` meta line, `round`/`event` lines merged in round
-//     order, and a `run_end` summary; a final `trace_end` trailer. The
-//     schema is documented in README.md ("Tracing & replay").
-//   - binary: the same stream in a compact little-endian framing (magic
-//     "WCLETR01", the header JSON embedded verbatim, then fixed-width
-//     records) — ~4x smaller, for long traced sweeps.
-//
-// Both renderings are byte-deterministic functions of the recorded data:
-// the replay verifier (replay.hpp) regenerates a trace from its header and
-// byte-compares, so writers must never emit anything time- or
+// The rendering is a byte-deterministic function of the recorded data: the
+// replay verifier (replay.hpp) regenerates a trace from its header and
+// byte-compares, so the writer must never emit anything time- or
 // environment-dependent.
 #pragma once
 
@@ -34,8 +31,15 @@ namespace wcle {
 inline constexpr std::uint32_t kTraceVersion = 2;
 /// Oldest header version the reader still accepts.
 inline constexpr std::uint32_t kTraceVersionMin = 1;
-/// First 8 bytes of a binary trace (no terminating NUL on the wire).
+/// First 8 bytes of a trace (no terminating NUL on the wire).
 inline constexpr char kTraceMagic[] = "WCLETR01";
+/// Record tags: one byte before each fixed-width record.
+inline constexpr std::uint8_t kTraceRecRun = 1;
+inline constexpr std::uint8_t kTraceRecRound = 2;
+inline constexpr std::uint8_t kTraceRecEvent = 3;
+inline constexpr std::uint8_t kTraceRecRunEnd = 4;
+inline constexpr std::uint8_t kTraceRecEnd = 5;
+inline constexpr std::uint8_t kTraceRecWalkHop = 6;  // schema v2
 
 /// The replayable identity of a trace file: `spec` is a grid-grammar line
 /// (scenario.hpp) whose sweep expansion regenerates every recorded run;
@@ -56,6 +60,7 @@ struct TraceRunMeta {
   std::uint64_t n = 0;  ///< actual node count after family snapping
   std::string algorithm;
   std::string family;
+  bool operator==(const TraceRunMeta&) const = default;
 };
 
 class TraceWriter {
@@ -70,23 +75,6 @@ class TraceWriter {
   virtual void end_run(std::uint64_t rounds, std::uint64_t events,
                        std::uint64_t quanta) = 0;
   virtual void finish(std::uint64_t runs) = 0;
-};
-
-class JsonlTraceWriter final : public TraceWriter {
- public:
-  explicit JsonlTraceWriter(std::ostream& out) : out_(&out) {}
-  void header(const TraceHeader& h) override;
-  void begin_run(const TraceRunMeta& meta) override;
-  void round(const TraceRound& r) override;
-  void event(const TraceEvent& e) override;
-  void walk_hop(const TraceWalkHop& h) override;
-  void end_run(std::uint64_t rounds, std::uint64_t events,
-               std::uint64_t quanta) override;
-  void finish(std::uint64_t runs) override;
-
- private:
-  std::ostream* out_;
-  std::uint64_t run_ = 0;  ///< current run ordinal, stamped on every line
 };
 
 class BinaryTraceWriter final : public TraceWriter {
@@ -105,17 +93,14 @@ class BinaryTraceWriter final : public TraceWriter {
   std::ostream* out_;
 };
 
-enum class TraceFormat { kJsonl, kBinary };
-
-/// Format selection by file extension: ".bin" / ".btrace" choose the binary
-/// framing, everything else JSONL.
-TraceFormat trace_format_for_path(const std::string& path);
+/// The one trace framing; the factory below keeps writers pluggable.
+enum class TraceFormat { kBinary };
 
 std::unique_ptr<TraceWriter> make_trace_writer(TraceFormat format,
                                                std::ostream& out);
 
-/// The JSONL header line for `h` (without trailing newline) — also the text
-/// embedded in the binary framing, so one parser serves both formats.
+/// The JSON header line for `h` (without trailing newline), embedded
+/// verbatim after the magic.
 std::string trace_header_line(const TraceHeader& h);
 
 /// Streams one recorded run through `w`: the meta line, then rounds, events,

@@ -233,7 +233,7 @@ bool cli_built() { return access(cli_binary().c_str(), X_OK) == 0; }
 
 TEST(CliBinary, RunTraceHeaderIsTheCanonicalCellKey) {
   if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
-  const std::string trace = testing::TempDir() + "wcle_cli_test.jsonl";
+  const std::string trace = testing::TempDir() + "wcle_cli_test.btrace";
   const CliRun r = run_cli("run --n=32 --c1=3 --crash=0.1 --trace=" + trace);
   ASSERT_NE(r.status, 2) << r.err;
   const ExperimentSpec spec = parse_spec(
@@ -281,7 +281,7 @@ TEST(CliBinary, RunRejectsASpaceBeforeANegativeSeed) {
 
 TEST(CliBinary, HelpPrintsUsageAndRunsNothing) {
   if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
-  const std::string trace = testing::TempDir() + "wcle_cli_help.jsonl";
+  const std::string trace = testing::TempDir() + "wcle_cli_help.btrace";
   std::remove(trace.c_str());
   for (const std::string command : {"", "run", "trials", "sweep", "list"}) {
     const CliRun r = run_cli(command + " --help --trace=" + trace);
@@ -304,7 +304,7 @@ TEST(CliBinary, ScaleFlagWinsOverAMalformedScaleEnvironment) {
 
 TEST(CliBinary, SweepTraceWalksFlagRidesInTheHeaderSpec) {
   if (!cli_built()) GTEST_SKIP() << cli_binary() << " was not built";
-  const std::string trace = testing::TempDir() + "wcle_cli_sweep.jsonl";
+  const std::string trace = testing::TempDir() + "wcle_cli_sweep.btrace";
   const std::string grid =
       "sweep algo=election family=expander n=16 trials=1 --format=jsonl "
       "--trace=" + trace;

@@ -14,10 +14,12 @@
 //   5. The layering and rng-flow fixtures hold their goldens; suppression
 //      parsing ignores raw strings / block comments and respects blank-line
 //      binding; stale suppressions are findings; SARIF output is well-formed
-//      2.1.0; the CLI exits 2 on a missing root or an unknown option.
+//      2.1.0; the CLI exits 2 on a missing root or an unknown option and
+//      finds its default layering config from any working directory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -457,6 +459,36 @@ TEST(LintCli, CleanTreeExitsZero) {
                     "/tools/lint/layers.txt " + std::string(WCLE_SOURCE_DIR) +
                     "/src"),
             0);
+}
+
+/// Runs the CLI from `dir` and returns its merged stdout and stderr.
+std::string run_cli_in(const std::string& dir, const std::string& args) {
+  const std::string out = testing::TempDir() + "wcle_lint_cli_output.txt";
+  const std::string cmd = "cd '" + dir + "' && " +
+                          std::string(WCLE_BINARY_DIR) + "/wcle_lint " + args +
+                          " > '" + out + "' 2>&1";
+  std::system(cmd.c_str());
+  std::ifstream in(out);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(LintCli, DefaultLayersResolveOutsideTheRepoRoot) {
+  // From a directory outside the repo the default tools/lint/layers.txt is
+  // found above --root, so layering runs and its audited suppression counts.
+  const std::string tmp = testing::TempDir();
+  const std::string report =
+      run_cli_in(tmp, "--root " + std::string(WCLE_SOURCE_DIR) + "/src");
+  EXPECT_NE(report.find("0 diagnostic(s), 2 suppressed"), std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("note:"), std::string::npos) << report;
+  // With no layers file anywhere, the skipped rule is named, not silent.
+  const std::string lone = tmp + "wcle_lint_lone.cpp";
+  std::ofstream(lone) << "int f() { return 1; }\n";
+  EXPECT_NE(run_cli_in(tmp, lone).find("the layering rule is skipped"),
+            std::string::npos);
+  std::remove(lone.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 // Trace & replay subsystem: recorder rebasing, tracing-never-perturbs,
-// timeline/metrics reconciliation, both writer framings round-tripping
-// through the reader, single_run_spec's grammar round-trip, thread-count
-// invariance of traced trials, the replay verifier (including tamper
-// detection), and the summarize pass.
+// timeline/metrics reconciliation, the writer's framing round-tripping
+// through the reader, the reader rejecting malformed input,
+// single_run_spec's grammar round-trip, thread-count invariance of traced
+// trials, the replay verifier (including tamper detection), and the
+// summarize pass.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -113,43 +115,7 @@ TEST(TraceRecorder, TimelineReconcilesWithMetricsTotals) {
   EXPECT_EQ(crash_events, r.faults.crashed.size());
 }
 
-TEST(TraceWriter, JsonlRoundTripsThroughTheReader) {
-  const Graph g = make_family("clique", 16, 1);
-  RunOptions options;
-  options.params.seed = 3;
-  auto [json, rec] = traced_run("flood_max", g, options);
-  (void)json;
-
-  std::ostringstream out;
-  JsonlTraceWriter w(out);
-  w.header({kTraceVersion, "run", "name=x algo=flood_max"});
-  TraceRunMeta meta;
-  meta.run = 0;
-  meta.seed = 3;
-  meta.n = 16;
-  meta.algorithm = "flood_max";
-  meta.family = "clique";
-  write_run(w, meta, rec);
-  w.finish(1);
-
-  const TraceFileData data = parse_trace(out.str());
-  EXPECT_EQ(data.format, TraceFormat::kJsonl);
-  EXPECT_EQ(data.header.tool, "run");
-  EXPECT_EQ(data.header.spec, "name=x algo=flood_max");
-  EXPECT_EQ(data.declared_runs, 1u);
-  ASSERT_EQ(data.runs.size(), 1u);
-  EXPECT_EQ(data.runs[0].meta.algorithm, "flood_max");
-  EXPECT_EQ(data.runs[0].meta.n, 16u);
-  ASSERT_EQ(data.runs[0].rounds.size(), rec.rounds().size());
-  for (std::size_t i = 0; i < rec.rounds().size(); ++i) {
-    EXPECT_EQ(data.runs[0].rounds[i].round, rec.rounds()[i].round);
-    EXPECT_EQ(data.runs[0].rounds[i].quanta, rec.rounds()[i].quanta);
-    EXPECT_EQ(data.runs[0].rounds[i].backlog, rec.rounds()[i].backlog);
-  }
-  ASSERT_EQ(data.runs[0].events.size(), rec.events().size());
-}
-
-TEST(TraceWriter, BinaryAndJsonlCarryIdenticalData) {
+TEST(TraceWriter, RoundTripsThroughTheReader) {
   const Graph g = make_family("expander", 32, 1);
   RunOptions options;
   options.params.seed = 9;
@@ -168,35 +134,99 @@ TEST(TraceWriter, BinaryAndJsonlCarryIdenticalData) {
   meta.n = 32;
   meta.algorithm = "election";
   meta.family = "expander";
-  std::ostringstream jout, bout;
-  JsonlTraceWriter jw(jout);
-  BinaryTraceWriter bw(bout);
-  for (TraceWriter* w : {static_cast<TraceWriter*>(&jw),
-                         static_cast<TraceWriter*>(&bw)}) {
-    w->header({kTraceVersion, "run", "name=y algo=election"});
-    write_run(*w, meta, rec);
-    w->finish(1);
-  }
-  // Binary is the compact framing.
-  EXPECT_LT(bout.str().size(), jout.str().size() / 2);
+  std::ostringstream out;
+  BinaryTraceWriter w(out);
+  w.header({kTraceVersion, "run", "name=y algo=election"});
+  write_run(w, meta, rec);
+  w.finish(1);
 
-  const TraceFileData a = parse_trace(jout.str());
-  const TraceFileData b = parse_trace(bout.str());
-  EXPECT_EQ(b.format, TraceFormat::kBinary);
-  ASSERT_EQ(a.runs.size(), 1u);
-  ASSERT_EQ(b.runs.size(), 1u);
-  ASSERT_EQ(a.runs[0].rounds.size(), b.runs[0].rounds.size());
-  ASSERT_EQ(a.runs[0].events.size(), b.runs[0].events.size());
-  for (std::size_t i = 0; i < a.runs[0].events.size(); ++i) {
-    EXPECT_EQ(a.runs[0].events[i].kind, b.runs[0].events[i].kind);
-    EXPECT_EQ(a.runs[0].events[i].round, b.runs[0].events[i].round);
-    EXPECT_EQ(a.runs[0].events[i].a, b.runs[0].events[i].a);
-    EXPECT_EQ(a.runs[0].events[i].label, b.runs[0].events[i].label);
+  const TraceFileData data = parse_trace(out.str());
+  EXPECT_EQ(data.header.version, kTraceVersion);
+  EXPECT_EQ(data.header.tool, "run");
+  EXPECT_EQ(data.header.spec, "name=y algo=election");
+  EXPECT_EQ(data.declared_runs, 1u);
+  ASSERT_EQ(data.runs.size(), 1u);
+  const TraceRunData& run = data.runs[0];
+  EXPECT_EQ(run.meta, meta);
+  EXPECT_EQ(run.declared_quanta, rec.total_quanta());
+  // Crashes and link failures make every event kind but churn show up.
+  ASSERT_GT(rec.events().size(), 8u);
+  ASSERT_EQ(run.rounds.size(), rec.rounds().size());
+  for (std::size_t i = 0; i < rec.rounds().size(); ++i)
+    EXPECT_EQ(run.rounds[i], rec.rounds()[i]) << "round row #" << i;
+  ASSERT_EQ(run.events.size(), rec.events().size());
+  for (std::size_t i = 0; i < rec.events().size(); ++i)
+    EXPECT_EQ(run.events[i], rec.events()[i]) << "event #" << i;
+}
+
+/// `header_line` framed as a trace with no records.
+std::string framed_header(const std::string& header_line) {
+  std::string bytes(kTraceMagic, 8);
+  for (int i = 0; i < 4; ++i)
+    bytes += static_cast<char>((header_line.size() >> (8 * i)) & 0xff);
+  return bytes + header_line;
+}
+
+/// Expects `parse_trace(bytes)` to throw a runtime_error whose message
+/// starts with "trace:".
+void expect_trace_error(const std::string& bytes) {
+  try {
+    parse_trace(bytes);
+    ADD_FAILURE() << "parsed without error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("trace:", 0), 0u) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "not a runtime_error: " << e.what();
   }
-  for (std::size_t i = 0; i < a.runs[0].rounds.size(); ++i) {
-    EXPECT_EQ(a.runs[0].rounds[i].quanta, b.runs[0].rounds[i].quanta);
-    EXPECT_EQ(a.runs[0].rounds[i].sends, b.runs[0].rounds[i].sends);
-  }
+}
+
+TEST(TraceReader, RejectsInputWithoutTheMagic) {
+  const std::string header =
+      "{\"type\":\"header\",\"version\":2,\"tool\":\"run\",\"spec\":\"x\"}";
+  EXPECT_EQ(parse_trace(framed_header(header)).header.spec, "x");
+  expect_trace_error(header + "\n");
+  expect_trace_error("");
+}
+
+TEST(TraceReader, RejectsAHeaderVersionThatWrapsIntoRange) {
+  const auto header = [](const std::string& version) {
+    return framed_header("{\"type\":\"header\",\"version\":" + version +
+                         ",\"tool\":\"run\",\"spec\":\"x\"}");
+  };
+  EXPECT_EQ(parse_trace(header("1")).header.version, 1u);
+  expect_trace_error(header("3"));
+  expect_trace_error(header("4294967297"));            // 2^32 + 1
+  expect_trace_error(header("18446744073709551617"));  // 2^64 + 1
+}
+
+TEST(TraceReader, RejectsAnUnknownEventKind) {
+  std::ostringstream out;
+  BinaryTraceWriter w(out);
+  w.header({kTraceVersion, "run", "x"});
+  w.begin_run(TraceRunMeta{});
+  const std::size_t kind_at = out.str().size() + 1 + 8;  // tag, round
+  w.event(TraceEvent{});  // a segment event
+  w.end_run(0, 1, 0);
+  w.finish(1);
+  std::string bytes = out.str();
+  ASSERT_EQ(parse_trace(bytes).runs.at(0).events.size(), 1u);
+  bytes[kind_at] = static_cast<char>(200);
+  expect_trace_error(bytes);
+  bytes[kind_at] = static_cast<char>(TraceEventKind::kPhase) + 1;
+  expect_trace_error(bytes);
+}
+
+TEST(TraceReader, RejectsAMalformedUnicodeEscapeInTheHeader) {
+  const auto header = [](const std::string& spec) {
+    return framed_header(
+        "{\"type\":\"header\",\"version\":2,\"tool\":\"run\",\"spec\":\"" +
+        spec + "\"}");
+  };
+  EXPECT_EQ(parse_trace(header("a\\u0009b")).header.spec, "a\tb");
+  expect_trace_error(header("a\\uzz09b"));  // non-hex digits
+  expect_trace_error(header("a\\u00"));     // would swallow the closing quote
+  expect_trace_error(
+      framed_header("{\"version\":2,\"tool\":\"run\",\"spec\":\"open"));
 }
 
 TEST(TraceSpec, SingleRunSpecRoundTripsOptions) {
@@ -251,7 +281,7 @@ TEST(TraceTrials, TracedTrialsAreThreadCountInvariant) {
     const TrialStats s =
         run_trials(algo, g, options, 4, 100, threads, &recorders);
     std::ostringstream out;
-    JsonlTraceWriter w(out);
+    BinaryTraceWriter w(out);
     w.header({kTraceVersion, "trials", "x"});
     for (std::size_t i = 0; i < recorders.size(); ++i) {
       TraceRunMeta meta;
@@ -275,40 +305,34 @@ TEST(TraceTrials, TracedTrialsAreThreadCountInvariant) {
 }
 
 TEST(TraceReplay, VerifiesByteIdentityAndCatchesTampering) {
-  for (const TraceFormat format :
-       {TraceFormat::kJsonl, TraceFormat::kBinary}) {
-    const bool binary = format == TraceFormat::kBinary;
-    RunOptions options;
-    options.params.faults.crash_fraction = 0.25;
-    const ExperimentSpec spec =
-        single_run_spec("flood_max", "clique", 16, 2, 50, 1, options);
-    const std::string path =
-        temp_path(binary ? "replay.bin" : "replay.jsonl");
-    {
-      std::ofstream file(path, std::ios::binary);
-      ASSERT_TRUE(file.is_open());
-      const auto writer = make_trace_writer(format, file);
-      writer->header({kTraceVersion, "trials", spec.to_string()});
-      run_sweep(spec, /*sinks=*/{}, /*threads=*/1, writer.get());
-    }
-    ReplayReport rep = verify_replay(path, /*threads=*/2);
-    EXPECT_TRUE(rep.ok) << rep.detail;
-    EXPECT_EQ(rep.runs, 2u);
-    EXPECT_EQ(rep.format, format);
-
-    // Flip one timeline byte: replay must localize the drift.
-    std::string bytes = read_file_bytes(path);
-    const std::size_t at = bytes.size() - 10;
-    bytes[at] = bytes[at] == '1' ? '2' : '1';
-    {
-      std::ofstream file(path, std::ios::binary);
-      file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    rep = verify_replay(path, 1);
-    EXPECT_FALSE(rep.ok);
-    EXPECT_GE(rep.first_difference, 1u);
-    std::remove(path.c_str());
+  RunOptions options;
+  options.params.faults.crash_fraction = 0.25;
+  const ExperimentSpec spec =
+      single_run_spec("flood_max", "clique", 16, 2, 50, 1, options);
+  const std::string path = temp_path("replay.btrace");
+  {
+    std::ofstream file(path, std::ios::binary);
+    ASSERT_TRUE(file.is_open());
+    BinaryTraceWriter writer(file);
+    writer.header({kTraceVersion, "trials", spec.to_string()});
+    run_sweep(spec, /*sinks=*/{}, /*threads=*/1, &writer);
   }
+  ReplayReport rep = verify_replay(path, /*threads=*/2);
+  EXPECT_TRUE(rep.ok) << rep.detail;
+  EXPECT_EQ(rep.runs, 2u);
+
+  // Flip one timeline byte: replay must localize the drift.
+  std::string bytes = read_file_bytes(path);
+  const std::size_t at = bytes.size() - 10;
+  bytes[at] = bytes[at] == '1' ? '2' : '1';
+  {
+    std::ofstream file(path, std::ios::binary);
+    file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  rep = verify_replay(path, 1);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_GE(rep.first_difference, 1u);
+  std::remove(path.c_str());
 }
 
 TEST(TraceSummarize, SeriesTrackLiveNodesAndCumulativeBill) {
@@ -350,9 +374,8 @@ TEST(TraceSummarize, SeriesTrackLiveNodesAndCumulativeBill) {
             std::string::npos);
 }
 
-TEST(TraceWriter, WalkHopsRoundTripBothFramings) {
-  // A v2 trace with walk_hop records must reload identically from the JSONL
-  // and the binary framing, hop for hop.
+TEST(TraceWriter, WalkHopsRoundTripThroughTheReader) {
+  // A v2 trace with walk_hop records must reload hop for hop.
   const Graph g = make_family("expander", 32, 1);
   RunOptions options;
   options.params.seed = 11;
@@ -369,34 +392,18 @@ TEST(TraceWriter, WalkHopsRoundTripBothFramings) {
   meta.n = 32;
   meta.algorithm = "election";
   meta.family = "expander";
-  std::ostringstream jout, bout;
-  JsonlTraceWriter jw(jout);
-  BinaryTraceWriter bw(bout);
-  for (TraceWriter* w : {static_cast<TraceWriter*>(&jw),
-                         static_cast<TraceWriter*>(&bw)}) {
-    w->header({kTraceVersion, "run",
-               "name=single algo=election family=expander n=32 "
-               "max-length=64 trace-walks=1 trials=1 base-seed=11"});
-    write_run(*w, meta, rec);
-    w->finish(1);
-  }
-  for (const std::string& bytes : {jout.str(), bout.str()}) {
-    const TraceFileData data = parse_trace(bytes);
-    ASSERT_EQ(data.runs.size(), 1u);
-    const std::vector<TraceWalkHop>& got = data.runs[0].hops;
-    const std::vector<TraceWalkHop>& want = rec.walk_hops();
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].round, want[i].round);
-      EXPECT_EQ(got[i].origin, want[i].origin);
-      EXPECT_EQ(got[i].src, want[i].src);
-      EXPECT_EQ(got[i].dst, want[i].dst);
-      EXPECT_EQ(got[i].count, want[i].count);
-      EXPECT_EQ(got[i].tag, want[i].tag);
-    }
-    // v2 run_end still carries the all-rounds quanta bill.
-    EXPECT_EQ(data.runs[0].declared_quanta, rec.total_quanta());
-  }
+  std::ostringstream out;
+  BinaryTraceWriter w(out);
+  w.header({kTraceVersion, "run",
+            "name=single algo=election family=expander n=32 "
+            "max-length=64 trace-walks=1 trials=1 base-seed=11"});
+  write_run(w, meta, rec);
+  w.finish(1);
+  const TraceFileData data = parse_trace(out.str());
+  ASSERT_EQ(data.runs.size(), 1u);
+  EXPECT_EQ(data.runs[0].hops, rec.walk_hops());
+  // v2 run_end still carries the all-rounds quanta bill.
+  EXPECT_EQ(data.runs[0].declared_quanta, rec.total_quanta());
 }
 
 TEST(TraceSummarize, SampledTraceScalesCumulativeSeriesAndLabelsThem) {

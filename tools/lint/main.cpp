@@ -7,7 +7,9 @@
 // Exit codes: 0 = clean, 1 = diagnostics found, 2 = usage or I/O error
 // (including a --root that does not exist: a missing tree is never a clean
 // pass).
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -31,16 +33,29 @@ void usage(std::ostream& os) {
         "  --sarif=FILE     additionally write a SARIF 2.1.0 log to FILE\n"
         "  --rule=NAME      restrict to a rule (repeatable; default: all)\n"
         "  --layers=FILE    layering DAG config "
-        "(default tools/lint/layers.txt if present)\n"
+        "(default: tools/lint/layers.txt in the\n"
+        "                   working directory or above the inputs)\n"
         "  --list-rules     print every rule with its description and exit\n"
         "\n"
         "Suppressions: // wcle-lint: <rule>-ok(reason)   (same or next "
         "line)\n";
 }
 
-bool file_exists(const std::string& p) {
-  std::ifstream f(p);
-  return static_cast<bool>(f);
+/// The default layering config, tools/lint/layers.txt, looked up in the
+/// working directory and then above each input, so the rule also runs from
+/// a build tree (`cd build && ./wcle_lint --root ../src`). Empty when none
+/// is found.
+std::string find_default_layers(const std::vector<std::string>& paths) {
+  namespace fs = std::filesystem;
+  const fs::path rel = fs::path("tools") / "lint" / "layers.txt";
+  std::error_code ec;  // a missing candidate is not an error
+  if (fs::is_regular_file(rel, ec)) return rel.string();
+  for (const std::string& p : paths) {
+    for (fs::path dir = fs::absolute(p, ec); dir.has_relative_path();
+         dir = dir.parent_path())
+      if (fs::is_regular_file(dir / rel, ec)) return (dir / rel).string();
+  }
+  return "";
 }
 
 }  // namespace
@@ -110,8 +125,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   // An explicit --layers= (empty) disables the rule.
-  if (!layers_explicit && file_exists("tools/lint/layers.txt"))
-    options.layers_file = "tools/lint/layers.txt";
+  if (!layers_explicit) {
+    options.layers_file = find_default_layers(paths);
+    const bool layering_on =
+        options.rules.empty() ||
+        std::find(options.rules.begin(), options.rules.end(), "layering") !=
+            options.rules.end();
+    if (options.layers_file.empty() && layering_on)
+      std::cerr << "wcle_lint: note: no tools/lint/layers.txt in the working "
+                   "directory or above the inputs; the layering rule is "
+                   "skipped (pass --layers=FILE)\n";
+  }
 
   const wcle_lint::LintReport report = wcle_lint::lint_paths(paths, options);
 
